@@ -16,7 +16,7 @@ CACHE_CHECK_DIR = target/cache-check
 ## Scratch directory for the chaos-check stores and outputs.
 CHAOS_CHECK_DIR = target/chaos-check
 
-.PHONY: build test doc verify lint bench bench-figures golden bless riscv perf perf-smoke trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check clean
+.PHONY: build test doc verify lint bench bench-figures golden bless riscv perf perf-smoke perfbench-check trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check clean
 
 build:
 	cargo build --release
@@ -76,6 +76,14 @@ perf: build
 ## Mirrored by the CI perf-smoke job.
 perf-smoke: build
 	./target/release/perf budget=40000 samples=5 check=ci/perf_baseline.json tolerance=0.30 floor=0.25 telemetry_overhead=ci/perf_baseline.json
+
+## The repository benchmark's own tests plus a short Fig. 9 exact sweep,
+## which exits non-zero on a digest disagreement, a failed job or a failed
+## check (see perfbench/README.md). Mirrored by the CI perfbench job.
+perfbench-check:
+	cargo test --release --manifest-path perfbench/Cargo.toml
+	cargo run --quiet --release --manifest-path perfbench/Cargo.toml -- \
+		--workload fig09-exact --seconds 5 --trace 0
 
 ## Telemetry smoke: one kernel per core family with both backends attached
 ## (interval metrics + O3PipeView pipeline trace), validated by trace_check

@@ -29,8 +29,9 @@ pub struct AddressProcessor {
     mem: MemoryHierarchy,
     /// Long-latency loads in flight: (completion cycle, load seq).
     pending_loads: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Long-latency loads whose value is available in the load-value FIFO.
-    available_values: FastHashSet<u64>,
+    /// Long-latency loads whose value has not arrived yet: the set twin of
+    /// `pending_loads`, bounded by the LSQ like the loads themselves.
+    awaiting_values: FastHashSet<u64>,
     total_long_latency_loads: u64,
 }
 
@@ -43,7 +44,7 @@ impl AddressProcessor {
             ports: MemPorts::new(config.memory_ports),
             mem,
             pending_loads: BinaryHeap::with_capacity(config.lsq_capacity),
-            available_values: fast_set_with_capacity(4 * config.lsq_capacity),
+            awaiting_values: fast_set_with_capacity(config.lsq_capacity),
             total_long_latency_loads: 0,
         }
     }
@@ -59,7 +60,7 @@ impl AddressProcessor {
                 break;
             }
             self.pending_loads.pop();
-            self.available_values.insert(seq);
+            self.awaiting_values.remove(&seq);
             arrived.push(seq);
         }
     }
@@ -103,13 +104,23 @@ impl AddressProcessor {
     pub fn register_long_latency_load(&mut self, seq: u64, completes_at: u64) {
         self.total_long_latency_loads += 1;
         self.pending_loads.push(Reverse((completes_at, seq)));
+        self.awaiting_values.insert(seq);
     }
 
     /// Whether the value of long-latency load `seq` is available in the
-    /// load-value FIFO.
+    /// load-value FIFO. `seq` must have been registered through
+    /// [`AddressProcessor::register_long_latency_load`]: only loads still
+    /// awaiting their value are tracked, so the bookkeeping stays bounded by
+    /// the LSQ instead of growing with every load that ever missed.
     #[must_use]
     pub fn load_value_ready(&self, seq: u64) -> bool {
-        self.available_values.contains(&seq)
+        !self.awaiting_values.contains(&seq)
+    }
+
+    /// Number of long-latency loads whose value has not arrived yet.
+    #[must_use]
+    pub fn awaiting_values(&self) -> usize {
+        self.awaiting_values.len()
     }
 
     /// The earliest future cycle (strictly after `now`) at which the AP's
@@ -157,10 +168,12 @@ mod tests {
         let mut ap = ap();
         ap.register_long_latency_load(7, 500);
         assert!(!ap.load_value_ready(7));
+        assert_eq!(ap.awaiting_values(), 1);
         assert!(ap.begin_cycle(499).is_empty());
         let arrived = ap.begin_cycle(500);
         assert_eq!(arrived, vec![7]);
         assert!(ap.load_value_ready(7));
+        assert_eq!(ap.awaiting_values(), 0, "arrived values are not tracked");
         assert_eq!(ap.total_long_latency_loads(), 1);
     }
 

@@ -28,7 +28,7 @@ use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig}
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
     fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
-    FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimStats,
+    FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimStats, WindowConsumerTable,
 };
 use dkip_ooo::lsq::FORWARD_LATENCY;
 use dkip_ooo::{FunctionalUnits, IssueQueue, Rob, RobEntry};
@@ -83,7 +83,11 @@ pub struct DkipProcessor {
     cp_fp_iq: IssueQueue,
     cp_fus: FunctionalUnits,
     cp_completions: BinaryHeap<Reverse<(u64, u64)>>,
-    cp_consumers: ConsumerTable,
+    /// Producer → consumers wired at dispatch, indexed by the producer's
+    /// position in the Aging-ROB window. A producer that leaves at Analyze
+    /// without completing in the CP never wakes its list; the slot is
+    /// reclaimed when the window wraps.
+    cp_consumers: WindowConsumerTable,
     last_writer: LastWriters,
     /// Loads that issued in the CP and were discovered to miss to memory.
     cp_long_latency_loads: FastHashSet<u64>,
@@ -149,7 +153,7 @@ impl DkipProcessor {
             cp_fp_iq: IssueQueue::new(cp.fp_iq_capacity, cp.sched),
             cp_fus: FunctionalUnits::new(cp.fu),
             cp_completions: BinaryHeap::with_capacity(cp.rob_capacity),
-            cp_consumers: ConsumerTable::with_capacity(cp.rob_capacity),
+            cp_consumers: WindowConsumerTable::new(cp.rob_capacity),
             last_writer: LastWriters::new(),
             cp_long_latency_loads: fast_set_with_capacity(cp.rob_capacity),
             llbv: Llbv::new(),
@@ -193,39 +197,6 @@ impl DkipProcessor {
     #[must_use]
     pub fn cycle(&self) -> u64 {
         self.cycle
-    }
-
-    /// A one-line snapshot of the main pipeline state, for debugging and
-    /// the examples' progress output.
-    #[must_use]
-    pub fn debug_state(&self) -> String {
-        let head = self.rob.head().map(|e| {
-            format!(
-                "seq={} {} issued={} completed={} pending={} age={}",
-                e.op.seq,
-                e.op.class,
-                e.issued,
-                e.completed,
-                e.pending_srcs,
-                self.cycle.saturating_sub(e.dispatch_cycle)
-            )
-        });
-        format!(
-            "cycle={} committed={} rob={} head=[{}] iq_int={} iq_fp={} llib={}L/{}F mp={}L/{}F chkpt={} llbv={} lsq={}",
-            self.cycle,
-            self.stats.committed,
-            self.rob.len(),
-            head.unwrap_or_else(|| "empty".to_owned()),
-            self.cp_int_iq.len(),
-            self.cp_fp_iq.len(),
-            self.llib_int.len(),
-            self.llib_fp.len(),
-            self.mp_int.occupancy(),
-            self.mp_fp.occupancy(),
-            self.checkpoints.len(),
-            self.llbv.marked_count(),
-            self.ap.lsq().occupancy(),
-        )
     }
 
     /// Forces (or releases) single-stepped simulation regardless of the
@@ -723,7 +694,7 @@ impl DkipProcessor {
         for &consumer in &waiters {
             self.wake_cp_consumer(consumer);
         }
-        self.cp_consumers.recycle(waiters);
+        self.cp_consumers.recycle(seq, waiters);
     }
 
     fn wake_cp_consumer(&mut self, seq: u64) {
@@ -1211,6 +1182,30 @@ mod tests {
 
     fn run(cfg: &DkipConfig, mem: MemoryHierarchyConfig, bench: Benchmark, n: u64) -> SimStats {
         run_dkip(cfg, &mem, bench, n, 1)
+    }
+
+    #[test]
+    fn drained_state_is_bounded_by_the_in_flight_window() {
+        // mcf sends a large share of its producers to the LLIB at Analyze
+        // with consumers still wired in the CP; none of that bookkeeping may
+        // outlive the window once the processor has drained.
+        let cfg = DkipConfig::paper_default();
+        let mem = MemoryHierarchy::new(MemoryHierarchyConfig::mem_400()).unwrap();
+        let mut proc_ = DkipProcessor::new(cfg.clone(), mem);
+        let mut trace = TraceGenerator::new(Benchmark::Mcf, 1);
+        proc_.run(&mut trace, 300_000);
+        let stats = proc_.run(&mut std::iter::empty(), u64::MAX);
+        assert!(stats.committed >= 300_000);
+        assert!(stats.low_locality_instrs > 0, "mcf must use the MP");
+        assert!(proc_.rob.is_empty(), "drained");
+        let rob = cfg.cache_processor.rob_capacity;
+        assert!(
+            proc_.cp_consumers.len() <= rob,
+            "{} live CP wakeup lists for a {rob}-entry Aging-ROB",
+            proc_.cp_consumers.len()
+        );
+        assert_eq!(proc_.ap.awaiting_values(), 0, "every load value arrived");
+        assert!(proc_.mp_consumers.is_empty() && proc_.load_waiters.is_empty());
     }
 
     #[test]

@@ -2,18 +2,32 @@
 
 use dkip_model::ConfigError;
 
-/// One cache line: the tag of the block it holds plus an LRU timestamp.
+/// Tag of an invalid way. A real tag is a block address shifted right by
+/// the line and set bits, at least one bit in total (see
+/// [`SetAssocCache::new`]), so it never reaches `u64::MAX`.
+const INVALID: u64 = u64::MAX;
+
+/// One cache way: the tag of the block it holds plus an LRU timestamp
+/// (0 for an invalid way, which every valid way's timestamp exceeds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Line {
     tag: u64,
     last_use: u64,
-    dirty: bool,
+}
+
+impl Line {
+    const EMPTY: Line = Line {
+        tag: INVALID,
+        last_use: 0,
+    };
 }
 
 /// A set-associative, write-allocate cache with true-LRU replacement.
 ///
 /// The cache only models *presence* (hit/miss); data values are never
-/// stored because the simulator is timing-only.
+/// stored because the simulator is timing-only. The tag array is one flat
+/// `Vec` of `num_sets * assoc` ways, set-major, indexed with a mask: the
+/// set count is a power of two.
 ///
 /// # Example
 ///
@@ -27,8 +41,9 @@ struct Line {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Option<Line>>>,
-    num_sets: usize,
+    lines: Vec<Line>,
+    set_mask: u64,
+    set_shift: u32,
     assoc: usize,
     line_shift: u32,
     tick: u64,
@@ -42,14 +57,15 @@ impl SetAssocCache {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the line size is not a power of two, the
-    /// associativity is zero, or the size is not a positive multiple of
-    /// `line_size * assoc`.
+    /// Returns a [`ConfigError`] if the line size is not a power of two of
+    /// at least two bytes, the associativity is zero, the size is not a
+    /// positive multiple of `line_size * assoc`, or the resulting set count
+    /// is not a power of two.
     pub fn new(size_bytes: usize, assoc: usize, line_size: usize) -> Result<Self, ConfigError> {
-        if !line_size.is_power_of_two() || line_size == 0 {
+        if !line_size.is_power_of_two() || line_size < 2 {
             return Err(ConfigError::new(
                 "line_size",
-                "must be a positive power of two",
+                "must be a power of two of at least 2 bytes",
             ));
         }
         if assoc == 0 {
@@ -62,9 +78,16 @@ impl SetAssocCache {
             ));
         }
         let num_sets = size_bytes / (line_size * assoc);
+        if !num_sets.is_power_of_two() {
+            return Err(ConfigError::new(
+                "size_bytes",
+                "must give a power-of-two number of sets",
+            ));
+        }
         Ok(SetAssocCache {
-            sets: vec![vec![None; assoc]; num_sets],
-            num_sets,
+            lines: vec![Line::EMPTY; num_sets * assoc],
+            set_mask: num_sets as u64 - 1,
+            set_shift: num_sets.trailing_zeros(),
             assoc,
             line_shift: line_size.trailing_zeros(),
             tick: 0,
@@ -73,49 +96,41 @@ impl SetAssocCache {
         })
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
+    /// The ways of `addr`'s set and the tag `addr` carries in it.
+    fn ways_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let block = addr >> self.line_shift;
-        let set = (block as usize) % self.num_sets;
-        let tag = block / self.num_sets as u64;
-        (set, tag)
+        let first = (block & self.set_mask) as usize * self.assoc;
+        (first..first + self.assoc, block >> self.set_shift)
     }
 
     /// Accesses `addr`; returns `true` on a hit. On a miss the block is
-    /// allocated (write-allocate for stores), evicting the LRU line.
-    pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
+    /// allocated, evicting the LRU line. Stores allocate exactly like loads
+    /// (write-allocate), so the write flag does not change the outcome: no
+    /// write-back traffic is modelled.
+    pub fn access(&mut self, addr: u64, _is_write: bool) -> bool {
         self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.sets[set_idx];
-        for line in set.iter_mut().flatten() {
+        let (ways, tag) = self.ways_and_tag(addr);
+        let set = &mut self.lines[ways];
+        // One pass finds a hit or the victim: the first way with the oldest
+        // timestamp, which is the first invalid way when there is one.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (idx, line) in set.iter_mut().enumerate() {
             if line.tag == tag {
                 line.last_use = self.tick;
-                line.dirty |= is_write;
                 self.hits += 1;
                 return true;
             }
+            if line.last_use < oldest {
+                oldest = line.last_use;
+                victim = idx;
+            }
         }
         self.misses += 1;
-        // Allocate: prefer an invalid way, otherwise evict the LRU way.
-        let victim = match set.iter().position(Option::is_none) {
-            Some(idx) => idx,
-            None => {
-                let mut lru_idx = 0;
-                let mut lru_use = u64::MAX;
-                for (idx, line) in set.iter().enumerate() {
-                    let last = line.expect("set is full").last_use;
-                    if last < lru_use {
-                        lru_use = last;
-                        lru_idx = idx;
-                    }
-                }
-                lru_idx
-            }
-        };
-        set[victim] = Some(Line {
+        set[victim] = Line {
             tag,
             last_use: self.tick,
-            dirty: is_write,
-        });
+        };
         false
     }
 
@@ -123,26 +138,19 @@ impl SetAssocCache {
     /// state or statistics.
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx]
-            .iter()
-            .flatten()
-            .any(|line| line.tag == tag)
+        let (ways, tag) = self.ways_and_tag(addr);
+        self.lines[ways].iter().any(|line| line.tag == tag)
     }
 
     /// Invalidates every line in the cache (used between benchmark runs).
     pub fn invalidate_all(&mut self) {
-        for set in &mut self.sets {
-            for line in set.iter_mut() {
-                *line = None;
-            }
-        }
+        self.lines.fill(Line::EMPTY);
     }
 
     /// Number of sets.
     #[must_use]
     pub fn num_sets(&self) -> usize {
-        self.num_sets
+        self.lines.len() / self.assoc
     }
 
     /// Associativity.
@@ -160,7 +168,7 @@ impl SetAssocCache {
     /// Total capacity in bytes.
     #[must_use]
     pub fn capacity(&self) -> usize {
-        self.num_sets * self.assoc * self.line_size()
+        self.lines.len() * self.line_size()
     }
 
     /// Hits recorded so far.
@@ -198,6 +206,16 @@ mod tests {
         assert!(SetAssocCache::new(32 * 1024, 0, 64).is_err());
         assert!(SetAssocCache::new(32 * 1024, 4, 48).is_err());
         assert!(SetAssocCache::new(1000, 4, 64).is_err());
+        assert!(SetAssocCache::new(1024, 1, 1).is_err(), "1-byte lines");
+    }
+
+    #[test]
+    fn non_power_of_two_set_counts_are_rejected() {
+        // 3 sets of 4 x 64-byte ways: a multiple of line_size * assoc, but
+        // not indexable by a mask.
+        let err = SetAssocCache::new(3 * 4 * 64, 4, 64).unwrap_err();
+        assert_eq!(err.field(), "size_bytes");
+        assert!(SetAssocCache::new(48 * 1024, 4, 64).is_err());
     }
 
     #[test]

@@ -14,9 +14,9 @@
 use crate::cache::SetAssocCache;
 use dkip_model::config::MemoryHierarchyConfig;
 use dkip_model::telemetry::MetricsFrame;
-use dkip_model::ConfigError;
+use dkip_model::{ConfigError, FastHashMap};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// The level of the hierarchy that serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -98,7 +98,7 @@ pub struct MemoryHierarchy {
     l1: Option<SetAssocCache>,
     l2: Option<SetAssocCache>,
     /// Outstanding misses: line address → cycle at which the fill completes.
-    outstanding: HashMap<u64, u64>,
+    outstanding: FastHashMap<u64, u64>,
     /// Min-heap twin of `outstanding`: `(completion cycle, line address)`.
     /// Every map entry has exactly one heap entry and vice versa (the two
     /// are only ever mutated together), so the earliest in-flight fill is an
@@ -130,7 +130,7 @@ impl MemoryHierarchy {
             config,
             l1,
             l2,
-            outstanding: HashMap::new(),
+            outstanding: FastHashMap::default(),
             fill_queue: BinaryHeap::new(),
             stats: MemStats::default(),
         })
@@ -538,6 +538,27 @@ mod tests {
             let a = warmed.access(addr, false, 2_000_000);
             let b = timed.access(addr, false, 2_000_000);
             assert_eq!(a.level, b.level, "divergence at {addr:#x}");
+        }
+    }
+
+    #[test]
+    fn set_counts_must_be_powers_of_two() {
+        // 48 KB of 8 x 64-byte ways is 96 sets: a valid multiple of
+        // line_size * assoc, but not mask-indexable.
+        let odd = MemoryHierarchyConfig {
+            l2_size: Some(48 * 1024),
+            ..small_config()
+        };
+        let err = odd.validate().unwrap_err();
+        assert_eq!(err.field(), "l2_size");
+        assert!(MemoryHierarchy::new(odd).is_err());
+        // Every preset and every L2 size of the Fig. 11/12 sweep qualifies.
+        for cfg in MemoryHierarchyConfig::table1_presets() {
+            assert!(MemoryHierarchy::new(cfg.clone()).is_ok(), "{}", cfg.name);
+        }
+        for kb in [64, 128, 256, 512, 1024, 2048, 4096] {
+            let cfg = MemoryHierarchyConfig::mem_400().with_l2_kb(kb);
+            assert!(MemoryHierarchy::new(cfg).is_ok(), "{kb} KB L2");
         }
     }
 

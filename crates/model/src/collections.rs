@@ -13,8 +13,14 @@
 //!   deterministic multiply-rotate [`FastHasher`] (an FxHash-style hasher;
 //!   no per-process random state, so runs stay reproducible across
 //!   processes, which the golden-stats subsystem requires).
-//! * [`ConsumerTable`] — producer → consumer-list map whose `Vec` spines are
-//!   recycled through a pool instead of being dropped on wakeup.
+//! * [`WindowConsumerTable`] — producer → consumer-list wakeup table for
+//!   producers that live in a reorder buffer, indexed by the producer's
+//!   sequence number modulo the (power-of-two rounded) window, so its size
+//!   is fixed by the window and a list whose producer left the window
+//!   without waking anyone is reclaimed when the window wraps.
+//! * [`ConsumerTable`] — the same wakeup lists keyed by an unbounded
+//!   sequence-number space (producers that are not confined to a ROB), with
+//!   `Vec` spines recycled through a pool instead of being dropped on wakeup.
 //! * [`DepList`] — an inline list of pending producer sequence numbers,
 //!   bounded by [`crate::instr::MicroOp`]'s two source operands
 //!   ([`MAX_SOURCES`]), replacing a heap `Vec` per dispatched instruction.
@@ -169,6 +175,10 @@ impl DepList {
 /// In steady state no allocation happens at all. Lists preserve insertion
 /// order, exactly like the `HashMap<u64, Vec<u64>>` they replace.
 ///
+/// A list lives until it is taken, so every producer pushed here must
+/// eventually be taken; producers confined to a ROB use the bounded
+/// [`WindowConsumerTable`] instead.
+///
 /// `Clone` deep-copies the live lists (and the recycled spines), so a
 /// cloned core's wakeup table is an independent, observationally identical
 /// snapshot — required by the checkpoint/restore machinery.
@@ -203,13 +213,6 @@ impl ConsumerTable {
             .push(consumer);
     }
 
-    /// The consumers currently registered for `producer` (empty slice if
-    /// none), in insertion order.
-    #[must_use]
-    pub fn get(&self, producer: u64) -> &[u64] {
-        self.lists.get(&producer).map_or(&[], Vec::as_slice)
-    }
-
     /// Removes and returns the consumer list of `producer` (empty if none).
     /// Pass the list back through [`ConsumerTable::recycle`] after
     /// iterating so its spine is reused.
@@ -236,6 +239,127 @@ impl ConsumerTable {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.lists.is_empty()
+    }
+}
+
+/// Tag of a [`WindowConsumerTable`] slot that holds no producer's list.
+const NO_PRODUCER: u64 = u64::MAX;
+
+/// One [`WindowConsumerTable`] slot: the producer that owns it and that
+/// producer's waiting consumers.
+#[derive(Debug, Clone)]
+struct WindowSlot {
+    producer: u64,
+    consumers: Vec<u64>,
+}
+
+/// Producer → consumer-list wakeup table for producers that live in a
+/// reorder buffer of bounded capacity.
+///
+/// A ROB holds a dense run of sequence numbers, so two producers that are in
+/// flight at the same time never share `seq & mask` once the table has
+/// `capacity.next_power_of_two()` slots. Each slot is tagged with its
+/// producer's sequence number: a push for a different producer means the
+/// previous owner has left the window, and its list is reused in place.
+/// Lists of producers that leave the window without waking their consumers
+/// (the D-KIP's Analyze stage hands such producers to the low-locality side)
+/// therefore never accumulate, and no lookup hashes.
+///
+/// Callers must only push for producers that are still in the window; every
+/// use in the cores checks the ROB first. Lists preserve insertion order.
+#[derive(Debug, Clone)]
+pub struct WindowConsumerTable {
+    slots: Vec<WindowSlot>,
+    mask: u64,
+}
+
+impl WindowConsumerTable {
+    /// A table for a window of `capacity` in-flight instructions.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        let size = capacity.max(1).next_power_of_two();
+        WindowConsumerTable {
+            slots: vec![
+                WindowSlot {
+                    producer: NO_PRODUCER,
+                    consumers: Vec::new(),
+                };
+                size
+            ],
+            mask: size as u64 - 1,
+        }
+    }
+
+    fn slot(&self, producer: u64) -> &WindowSlot {
+        &self.slots[(producer & self.mask) as usize]
+    }
+
+    fn slot_mut(&mut self, producer: u64) -> &mut WindowSlot {
+        &mut self.slots[(producer & self.mask) as usize]
+    }
+
+    /// Registers `consumer` as waiting on `producer`, reclaiming the slot
+    /// from an older producer that has left the window.
+    pub fn push(&mut self, producer: u64, consumer: u64) {
+        let slot = self.slot_mut(producer);
+        if slot.producer != producer {
+            slot.producer = producer;
+            slot.consumers.clear();
+        }
+        slot.consumers.push(consumer);
+    }
+
+    /// The consumers currently registered for `producer` (empty slice if
+    /// none), in insertion order.
+    #[must_use]
+    pub fn get(&self, producer: u64) -> &[u64] {
+        let slot = self.slot(producer);
+        if slot.producer == producer {
+            &slot.consumers
+        } else {
+            &[]
+        }
+    }
+
+    /// Removes and returns the consumer list of `producer` (empty if none).
+    /// Hand the list back through [`WindowConsumerTable::recycle`] after
+    /// iterating so the slot keeps its spine.
+    #[must_use]
+    pub fn take(&mut self, producer: u64) -> Vec<u64> {
+        let slot = self.slot_mut(producer);
+        if slot.producer != producer {
+            return Vec::new();
+        }
+        slot.producer = NO_PRODUCER;
+        std::mem::take(&mut slot.consumers)
+    }
+
+    /// Returns the spine of a list taken for `producer` to its slot, unless
+    /// the slot has acquired a spine of its own since.
+    pub fn recycle(&mut self, producer: u64, mut list: Vec<u64>) {
+        let slot = self.slot_mut(producer);
+        if slot.consumers.capacity() == 0 {
+            list.clear();
+            slot.consumers = list;
+        }
+    }
+
+    /// Number of producers that currently own a non-empty list, including
+    /// producers that left the window and whose slot has not been reused
+    /// yet. Never exceeds the window capacity rounded up to a power of two.
+    /// Linear in the window size; meant for tests and diagnostics.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.slots
+            .iter()
+            .filter(|slot| slot.producer != NO_PRODUCER && !slot.consumers.is_empty())
+            .count()
+    }
+
+    /// Whether no list is held.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -334,7 +458,6 @@ mod tests {
         table.push(5, 10);
         table.push(5, 11);
         table.push(6, 12);
-        assert_eq!(table.get(5), &[10, 11]);
         assert_eq!(table.len(), 2);
         let list = table.take(5);
         assert_eq!(list, vec![10, 11]);
@@ -346,8 +469,51 @@ mod tests {
         );
         // The next producer reuses the recycled spine (no new allocation).
         table.push(7, 13);
-        assert!(table.get(7).len() == 1 && table.lists[&7].capacity() >= spine_cap.min(1));
+        assert!(table.lists[&7].len() == 1 && table.lists[&7].capacity() >= spine_cap.min(1));
         assert_eq!(table.take(6), vec![12]);
+    }
+
+    #[test]
+    fn window_table_wakes_in_insertion_order_and_keeps_spines() {
+        let mut table = WindowConsumerTable::new(48);
+        assert_eq!(
+            table.slots.len(),
+            64,
+            "capacity rounds up to a power of two"
+        );
+        table.push(5, 10);
+        table.push(5, 11);
+        table.push(6, 12);
+        assert_eq!(table.get(5), &[10, 11]);
+        assert_eq!(table.len(), 2);
+        let list = table.take(5);
+        assert_eq!(list, vec![10, 11]);
+        assert!(table.get(5).is_empty(), "a taken list is gone");
+        table.recycle(5, list);
+        assert!(table.slots[5].consumers.capacity() >= 2, "spine returned");
+        assert!(table.take(99).is_empty(), "missing producers yield nothing");
+        assert_eq!(table.take(6), vec![12]);
+        assert!(table.is_empty());
+    }
+
+    #[test]
+    fn window_table_reclaims_a_slot_when_the_window_wraps() {
+        let mut table = WindowConsumerTable::new(4);
+        // Producer 1 leaves the window without waking its consumers.
+        table.push(1, 2);
+        table.push(1, 3);
+        assert_eq!(table.get(1), &[2, 3]);
+        // Producer 5 maps to the same slot: the stale list dies.
+        table.push(5, 6);
+        assert_eq!(table.get(5), &[6]);
+        assert!(table.get(1).is_empty(), "stale producer no longer matches");
+        assert!(table.take(1).is_empty());
+        assert_eq!(table.len(), 1);
+        // However many producers pass through, the table never grows.
+        for producer in 0..1000 {
+            table.push(producer, producer + 1);
+        }
+        assert!(table.len() <= 4);
     }
 
     #[test]

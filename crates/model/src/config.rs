@@ -414,8 +414,9 @@ impl MemoryHierarchyConfig {
     ///
     /// Returns a [`ConfigError`] describing the first violated constraint:
     /// latencies must be positive and non-decreasing down the hierarchy, the
-    /// line size must be a power of two, and cache sizes must be a multiple
-    /// of `line_size * assoc`.
+    /// line size must be a power of two of at least 2 bytes, and cache sizes
+    /// must be a multiple of `line_size * assoc` that gives a power-of-two
+    /// number of sets (the tag arrays index sets with a mask).
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.l1_latency == 0 {
             return Err(ConfigError::new("l1_latency", "must be positive"));
@@ -432,8 +433,11 @@ impl MemoryHierarchyConfig {
                 "must be at least the L2 latency",
             ));
         }
-        if !self.line_size.is_power_of_two() {
-            return Err(ConfigError::new("line_size", "must be a power of two"));
+        if !self.line_size.is_power_of_two() || self.line_size < 2 {
+            return Err(ConfigError::new(
+                "line_size",
+                "must be a power of two of at least 2 bytes",
+            ));
         }
         for (field, size, assoc) in [
             ("l1_size", self.l1_size, self.l1_assoc),
@@ -447,6 +451,12 @@ impl MemoryHierarchyConfig {
                     return Err(ConfigError::new(
                         field,
                         "must be a positive multiple of line_size * associativity",
+                    ));
+                }
+                if !(size / (self.line_size * assoc)).is_power_of_two() {
+                    return Err(ConfigError::new(
+                        field,
+                        "must give a power-of-two number of sets",
                     ));
                 }
             }

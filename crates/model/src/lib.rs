@@ -46,7 +46,7 @@ pub mod telemetry;
 
 pub use collections::{
     fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
-    FastHashSet, LastWriters, MAX_SOURCES,
+    FastHashSet, LastWriters, WindowConsumerTable, MAX_SOURCES,
 };
 pub use config::{
     event_clock_enabled, BaselineConfig, CacheProcessorConfig, DkipConfig, KiloConfig,

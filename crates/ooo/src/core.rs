@@ -23,8 +23,8 @@ use dkip_model::config::{
 };
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
-    fast_set_with_capacity, ConsumerTable, DepList, FastHashSet, Histogram, LastWriters, MicroOp,
-    OpClass, RegClass, SimStats,
+    fast_set_with_capacity, DepList, FastHashSet, Histogram, LastWriters, MicroOp, OpClass,
+    RegClass, SimStats, WindowConsumerTable,
 };
 use dkip_trace::{Benchmark, TraceGenerator};
 use std::cmp::Reverse;
@@ -125,8 +125,9 @@ pub struct OooCore {
     ports: MemPorts,
     /// Completion events: (cycle, seq).
     completions: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Producer seq → consumer seqs still waiting on it (pooled spines).
-    consumers: ConsumerTable,
+    /// Producer seq → consumer seqs still waiting on it, indexed by the
+    /// producer's position in the ROB window.
+    consumers: WindowConsumerTable,
     /// Architectural register → seq of its most recent producer (flat
     /// scoreboard).
     last_writer: LastWriters,
@@ -181,7 +182,7 @@ impl OooCore {
             fus: FunctionalUnits::new(params.fu),
             ports: MemPorts::new(params.memory_ports),
             completions: BinaryHeap::with_capacity(params.window.min(4096)),
-            consumers: ConsumerTable::with_capacity(params.window.min(4096)),
+            consumers: WindowConsumerTable::new(params.window),
             last_writer: LastWriters::new(),
             fetch_queue: VecDeque::new(),
             unresolved_mispredicts: VecDeque::new(),
@@ -512,7 +513,7 @@ impl OooCore {
         for &consumer in &waiters {
             self.wake_consumer(consumer);
         }
-        self.consumers.recycle(waiters);
+        self.consumers.recycle(seq, waiters);
     }
 
     fn wake_consumer(&mut self, seq: u64) {
