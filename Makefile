@@ -16,7 +16,7 @@ CACHE_CHECK_DIR = target/cache-check
 ## Scratch directory for the chaos-check stores and outputs.
 CHAOS_CHECK_DIR = target/chaos-check
 
-.PHONY: build test doc verify lint bench bench-figures golden bless riscv perf perf-smoke perfbench-check trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check clean
+.PHONY: build test doc verify lint bench bench-figures golden bless riscv perf perf-smoke perfbench-check trace-smoke cache-check chaos-check fuzz fuzz-smoke sample-check net-lines clean
 
 build:
 	cargo build --release
@@ -220,6 +220,24 @@ bench-figures: build
 		./target/release/$$b || exit 1; \
 		echo; \
 	done
+
+## Lines added, removed and net since BASE (a git revision; default HEAD,
+## i.e. the uncommitted changes), from `git diff --numstat`, split by path:
+## library code (crates/*/src, src), tests (tests/, crates/*/tests), docs
+## (*.md) and everything else. Tracked files only: `git add` new files
+## first. Example: make net-lines BASE=origin/main
+BASE ?= HEAD
+net-lines:
+	@git diff --numstat $(BASE) | awk ' \
+		{ add = ($$1 == "-") ? 0 : $$1; del = ($$2 == "-") ? 0 : $$2; path = $$3; \
+		  if (path ~ /\.md$$/) kind = "docs"; \
+		  else if (path ~ /^tests\// || path ~ /^crates\/[^\/]+\/tests\//) kind = "tests"; \
+		  else if (path ~ /^src\// || path ~ /^crates\/[^\/]+\/src\//) kind = "library"; \
+		  else kind = "other"; \
+		  added[kind] += add; removed[kind] += del } \
+		END { n = split("library tests docs other", kinds, " "); \
+		  for (i = 1; i <= n; i++) { k = kinds[i]; \
+		    printf "%-8s +%d -%d net %d\n", k, added[k], removed[k], added[k] - removed[k] } }'
 
 clean:
 	cargo clean

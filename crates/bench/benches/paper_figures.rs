@@ -11,7 +11,7 @@ use dkip_core::{run_dkip, DkipProcessor};
 use dkip_kilo::run_kilo;
 use dkip_mem::MemoryHierarchy;
 use dkip_model::config::{BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig};
-use dkip_ooo::{run_baseline, OooCore};
+use dkip_ooo::{run_baseline, Engine, OooCore};
 use dkip_sim::experiments;
 use dkip_trace::{Benchmark, Suite, TraceGenerator};
 use std::hint::black_box;

@@ -52,6 +52,4 @@ pub use llbv::{Llbv, LowLocalityWriter};
 pub use llib::{Llib, LlibEntry, SourceState};
 pub use llrf::{Llrf, LlrfSlot};
 pub use memory_processor::MemoryProcessor;
-pub use processor::{
-    run_dkip, run_dkip_stream, run_dkip_stream_probed, DkipProcessor, DkipSnapshot,
-};
+pub use processor::{run_dkip, DkipProcessor, DkipSnapshot};

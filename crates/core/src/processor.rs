@@ -22,19 +22,19 @@ use crate::llbv::{Llbv, LowLocalityWriter};
 use crate::llib::{Llib, LlibEntry, SourceState};
 use crate::llrf::Llrf;
 use crate::memory_processor::MemoryProcessor;
-use dkip_bpred::{BranchPredictor, PredictorKind};
+use dkip_bpred::PredictorKind;
 use dkip_mem::{AccessLevel, MemoryHierarchy};
-use dkip_model::config::{event_clock_enabled, DkipConfig, MemoryHierarchyConfig};
+use dkip_model::config::{DkipConfig, MemoryHierarchyConfig};
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
     fast_map_with_capacity, fast_set_with_capacity, ConsumerTable, DepList, FastHashMap,
     FastHashSet, LastWriters, MicroOp, OpClass, RegClass, SimStats, WindowConsumerTable,
 };
 use dkip_ooo::lsq::FORWARD_LATENCY;
-use dkip_ooo::{FunctionalUnits, IssueQueue, Rob, RobEntry};
+use dkip_ooo::{Engine, FrontEnd, FunctionalUnits, IssueQueue, Rob, RobEntry};
 use dkip_trace::{Benchmark, TraceGenerator};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Metadata kept for every instruction that left the Cache Processor as low
 /// locality (parked in an LLIB, executing in a Memory Processor, or a
@@ -74,7 +74,8 @@ impl DkipSnapshot {
 #[derive(Debug, Clone)]
 pub struct DkipProcessor {
     cfg: DkipConfig,
-    predictor: Box<dyn BranchPredictor>,
+    /// The Cache Processor's front end.
+    front: FrontEnd,
     cycle: u64,
 
     // Cache Processor.
@@ -111,21 +112,6 @@ pub struct DkipProcessor {
     /// Long-latency load → consumers inserted in an MP waiting on its value.
     load_waiters: ConsumerTable,
 
-    // Front end.
-    fetch_queue: VecDeque<MicroOp>,
-    unresolved_mispredicts: VecDeque<u64>,
-    fetch_resume_at: u64,
-    refill_boundary: u64,
-    /// Whether the trace iterator has returned `None` (finite streams such
-    /// as the execution-driven RISC-V kernels end; the synthetic generators
-    /// never do).
-    trace_done: bool,
-    /// Force one `tick()` per simulated cycle instead of letting [`run`]
-    /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
-    ///
-    /// [`run`]: DkipProcessor::run
-    single_step: bool,
-
     stats: SimStats,
 
     // Reusable per-cycle buffers (cleared and refilled every tick; they keep
@@ -146,7 +132,7 @@ impl DkipProcessor {
         cfg.validate().expect("invalid D-KIP configuration");
         let cp = &cfg.cache_processor;
         DkipProcessor {
-            predictor: PredictorKind::Perceptron.build(),
+            front: FrontEnd::new(PredictorKind::Perceptron, cp.widths.fetch),
             cycle: 0,
             rob: Rob::new(cp.rob_capacity),
             cp_int_iq: IssueQueue::new(cp.int_iq_capacity, cp.sched),
@@ -173,12 +159,6 @@ impl DkipProcessor {
             ),
             mp_consumers: ConsumerTable::with_capacity(2 * cfg.memory_processor.queue_capacity),
             load_waiters: ConsumerTable::with_capacity(cfg.address_processor.lsq_capacity),
-            fetch_queue: VecDeque::new(),
-            unresolved_mispredicts: VecDeque::new(),
-            fetch_resume_at: 0,
-            refill_boundary: u64::MAX,
-            trace_done: false,
-            single_step: !event_clock_enabled(),
             stats: SimStats::new(),
             arrived_scratch: Vec::new(),
             mp_done_scratch: Vec::new(),
@@ -191,18 +171,6 @@ impl DkipProcessor {
     #[must_use]
     pub fn config(&self) -> &DkipConfig {
         &self.cfg
-    }
-
-    /// Current cycle.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Forces (or releases) single-stepped simulation regardless of the
-    /// `DKIP_NO_SKIP` environment variable sampled at construction.
-    pub fn set_single_step(&mut self, single_step: bool) {
-        self.single_step = single_step;
     }
 
     /// Captures a checkpoint of the complete processor state (all decoupled
@@ -226,209 +194,14 @@ impl DkipProcessor {
         *self = snapshot.state.clone();
     }
 
-    /// Functionally warms the long-lived microarchitectural state with one
-    /// instruction that is *not* being simulated in detail: memory ops
-    /// install/promote their line in the Address Processor's hierarchy
-    /// (timing-free) and conditional branches train the direction predictor
-    /// with the in-order predict/update pair the Cache Processor would
-    /// apply. Used by the sampled-simulation mode for every fast-forwarded
-    /// instruction; pipeline, clock and committed counters are untouched.
+    /// [`Engine::warm_op`], callable without the trait in scope.
     pub fn warm_op(&mut self, op: &MicroOp) {
-        if let Some(addr) = op.mem_addr {
-            self.ap.warm_access(addr, op.is_store());
-        }
-        if op.is_conditional_branch() {
-            let taken = op.branch.expect("conditional branch").taken;
-            let predicted = self.predictor.predict(op.pc);
-            self.predictor.update(op.pc, taken, predicted);
-        }
+        Engine::warm_op(self, op);
     }
 
-    /// Runs until `max_instrs` instructions have committed, the trace ends
-    /// and the whole machine drains (finite execution-driven streams run to
-    /// completion), or a safety cycle bound is reached. Returns the
-    /// accumulated statistics.
-    ///
-    /// Unless single-stepping is forced (`DKIP_NO_SKIP=1`), quiesced
-    /// stretches — a tick in which no load value arrived, no instruction
-    /// moved between pipeline structures and nothing fetched, issued,
-    /// completed or committed — are fast-forwarded to the earliest
-    /// [`DkipProcessor::next_event`], with the per-cycle stall counters
-    /// bumped by the skipped delta so every statistic stays bit-identical
-    /// to single-stepping.
+    /// [`Engine::run`], callable without the trait in scope.
     pub fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        self.run_probed(trace, max_instrs, None)
-    }
-
-    /// [`run`] with an optional telemetry sink attached. `None` takes the
-    /// exact same path as [`run`]; a sink observes every pipeline stage and
-    /// an interval-metrics row whenever the committed-instruction counter
-    /// crosses a boundary, without perturbing any statistic.
-    ///
-    /// [`run`]: DkipProcessor::run
-    pub fn run_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        max_instrs: u64,
-        mut probe: Option<&mut Telemetry>,
-    ) -> SimStats {
-        let cycle_cap = self
-            .cycle
-            .saturating_add(max_instrs.saturating_mul(2000).max(1_000_000));
-        // Each run() call may bring a fresh trace, so exhaustion must not
-        // latch across calls (it re-latches on the first empty fetch).
-        self.trace_done = false;
-        while self.stats.committed < max_instrs && self.cycle < cycle_cap {
-            let stalls_before = self.stats.stall_counter_snapshot();
-            let progress = self.tick_probed(trace, probe.as_deref_mut());
-            if let Some(t) = probe.as_deref_mut() {
-                if t.metrics_due(self.stats.committed) {
-                    t.record_metrics(&self.metrics_frame());
-                }
-            }
-            // Drained: nothing left in the front end, the Aging-ROB, or on
-            // the low-locality side (LLIBs / Memory Processors / Address
-            // Processor, all tracked by `low_meta`).
-            if self.trace_done
-                && self.fetch_queue.is_empty()
-                && self.rob.is_empty()
-                && self.low_meta.is_empty()
-            {
-                break;
-            }
-            if !progress && !self.single_step {
-                self.skip_quiesced_cycles(cycle_cap, stalls_before);
-            }
-        }
-        self.finalize_stats();
-        self.stats.clone()
-    }
-
-    /// Advances the whole machine by one cycle.
-    pub fn tick(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) {
-        let _ = self.tick_probed(trace, None);
-    }
-
-    /// The interval-metrics snapshot of the current machine state: Aging-ROB
-    /// / CP issue-queue / AP LSQ occupancy, the two LLIBs, the LLBV marked
-    /// count, and the cumulative commit, branch, cache and clock counters.
-    fn metrics_frame(&self) -> MetricsFrame {
-        let mut frame = MetricsFrame {
-            cycle: self.cycle,
-            committed: self.stats.committed,
-            rob: self.rob.len() as u64,
-            iq: (self.cp_int_iq.len() + self.cp_fp_iq.len()) as u64,
-            lsq: self.ap.lsq().occupancy() as u64,
-            llib: (self.llib_int.len() + self.llib_fp.len()) as u64,
-            llbv: self.llbv.marked_count() as u64,
-            cond_branches: self.stats.cond_branches,
-            branch_mispredicts: self.stats.branch_mispredicts,
-            ticks_executed: self.stats.ticks_executed,
-            cycles_skipped: self.stats.cycles_skipped,
-            ..MetricsFrame::default()
-        };
-        self.ap.mem_stats().fill_metrics(&mut frame);
-        frame
-    }
-
-    /// Advances the whole machine by one cycle and reports whether any work
-    /// happened in any stage. A `false` return means the machine state is
-    /// unchanged apart from time-gated conditions, so every following cycle
-    /// until [`DkipProcessor::next_event`] would be identical.
-    fn tick_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
-    ) -> bool {
-        self.cycle += 1;
-        self.stats.ticks_executed += 1;
-        self.cp_fus.begin_cycle();
-        self.mp_int.begin_cycle();
-        self.mp_fp.begin_cycle();
-        let mut arrived_loads = std::mem::take(&mut self.arrived_scratch);
-        arrived_loads.clear();
-        self.ap.begin_cycle_into(self.cycle, &mut arrived_loads);
-        for &load in &arrived_loads {
-            self.handle_load_value_arrival(load, probe.as_deref_mut());
-        }
-        let mut progress = !arrived_loads.is_empty();
-        self.arrived_scratch = arrived_loads;
-        progress |= self.drain_mp_completions(probe.as_deref_mut());
-        progress |= self.mp_issue(probe.as_deref_mut());
-        progress |= self.llib_to_mp_transfer();
-        progress |= self.cp_writeback(probe.as_deref_mut());
-        progress |= self.analyze(probe.as_deref_mut());
-        progress |= self.cp_issue(probe.as_deref_mut());
-        progress |= self.cp_dispatch(probe.as_deref_mut());
-        progress |= self.fetch(trace, probe);
-        progress
-    }
-
-    /// The earliest future cycle (strictly after the current one) at which
-    /// the machine's state can change without new work arriving: a Cache
-    /// Processor completion, a Memory Processor completion, a long-latency
-    /// load value arriving at the Address Processor (or any outstanding
-    /// cache fill), the end of the front-end refill penalty, or the
-    /// Aging-ROB head reaching the Analyze stage. `None` means no event is
-    /// pending and the machine can never wake on its own.
-    #[must_use]
-    pub fn next_event(&mut self) -> Option<u64> {
-        let now = self.cycle;
-        let mut next = self
-            .cp_completions
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > now);
-        let mut consider = |candidate: Option<u64>| {
-            if let Some(cycle) = candidate {
-                next = Some(next.map_or(cycle, |n| n.min(cycle)));
-            }
-        };
-        consider(self.mp_int.next_event(now));
-        consider(self.mp_fp.next_event(now));
-        consider(self.ap.next_event(now));
-        consider(Some(self.fetch_resume_at).filter(|&at| at > now));
-        // The Aging-ROB: a head that has not aged yet becomes analyzable at
-        // a fixed future cycle even if nothing else happens.
-        consider(
-            self.rob
-                .head()
-                .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
-                .filter(|&at| at > now),
-        );
-        next
-    }
-
-    /// Fast-forwards over a quiesced stretch: advances `cycle` to just
-    /// before the next event (or past `cycle_cap` when no event is pending,
-    /// matching a single-stepped spin to the cap) and replays the per-cycle
-    /// stall bumps the skipped ticks would have performed.
-    fn skip_quiesced_cycles(&mut self, cycle_cap: u64, stalls_before: [u64; 4]) {
-        let event = self
-            .next_event()
-            .unwrap_or_else(|| cycle_cap.saturating_add(1));
-        let target = event.min(cycle_cap.saturating_add(1)) - 1;
-        if target <= self.cycle {
-            return;
-        }
-        let skipped = target - self.cycle;
-        self.cycle = target;
-        self.stats.cycles_skipped += skipped;
-        self.stats.replay_stall_cycles(stalls_before, skipped);
-    }
-
-    fn finalize_stats(&mut self) {
-        self.stats.cycles = self.cycle;
-        let mem = self.ap.mem_stats();
-        self.stats.l1_hits = mem.l1_hits;
-        self.stats.l2_hits = mem.l2_hits;
-        self.stats.mem_accesses = mem.memory_accesses;
-        self.stats.llib_int_peak_instrs = self.llib_int.peak() as u64;
-        self.stats.llib_fp_peak_instrs = self.llib_fp.peak() as u64;
-        self.stats.llrf_int_peak_regs = self.llrf_int.peak() as u64;
-        self.stats.llrf_fp_peak_regs = self.llrf_fp.peak() as u64;
-        self.stats.checkpoints_taken = self.checkpoints.taken();
-        self.stats.checkpoint_recoveries = self.checkpoints.recoveries();
+        Engine::run(self, trace, max_instrs)
     }
 
     fn queue_class(op: &MicroOp) -> RegClass {
@@ -508,25 +281,18 @@ impl DkipProcessor {
                 _ => {}
             }
         }
-        if meta.op.is_conditional_branch() {
-            let taken = meta.op.branch.expect("conditional branch").taken;
-            self.stats.cond_branches += 1;
-            self.predictor
-                .update(meta.op.pc, taken, meta.predicted_taken);
-            if meta.mispredicted {
-                self.stats.branch_mispredicts += 1;
-                if self.unresolved_mispredicts.front() == Some(&seq) {
-                    self.unresolved_mispredicts.pop_front();
-                    // Recovery past the Cache Processor uses the checkpoint
-                    // stack: pay the refill penalty plus the checkpoint
-                    // restore penalty.
-                    self.checkpoints.recover();
-                    self.fetch_resume_at = self.cycle
-                        + self.cfg.cache_processor.mispredict_penalty
-                        + self.cfg.checkpoint.recovery_penalty;
-                    self.refill_boundary = seq;
-                }
-            }
+        // Recovery past the Cache Processor uses the checkpoint stack: pay
+        // the refill penalty plus the checkpoint restore penalty.
+        let recovered = self.front.resolve(
+            &meta.op,
+            meta.predicted_taken,
+            meta.mispredicted,
+            self.cycle,
+            self.cfg.cache_processor.mispredict_penalty + self.cfg.checkpoint.recovery_penalty,
+            &mut self.stats,
+        );
+        if recovered {
+            self.checkpoints.recover();
         }
         // Wake MP consumers of this value.
         let waiters = self.mp_consumers.take(seq);
@@ -665,31 +431,18 @@ impl DkipProcessor {
         if let Some(t) = probe {
             t.trace_stage(seq, Stage::Complete, self.cycle);
         }
-        let (is_cond, taken, predicted, mispredicted, pc) = {
-            let Some(entry) = self.rob.get_mut(seq) else {
-                return;
-            };
-            entry.completed = true;
-            (
-                entry.op.is_conditional_branch(),
-                entry.op.branch.map(|b| b.taken).unwrap_or(false),
-                entry.predicted_taken,
-                entry.mispredicted,
-                entry.op.pc,
-            )
+        let Some(entry) = self.rob.get_mut(seq) else {
+            return;
         };
-        if is_cond {
-            self.stats.cond_branches += 1;
-            self.predictor.update(pc, taken, predicted);
-            if mispredicted {
-                self.stats.branch_mispredicts += 1;
-                if self.unresolved_mispredicts.front() == Some(&seq) {
-                    self.unresolved_mispredicts.pop_front();
-                    self.fetch_resume_at = self.cycle + self.cfg.cache_processor.mispredict_penalty;
-                    self.refill_boundary = seq;
-                }
-            }
-        }
+        entry.completed = true;
+        self.front.resolve(
+            &entry.op,
+            entry.predicted_taken,
+            entry.mispredicted,
+            self.cycle,
+            self.cfg.cache_processor.mispredict_penalty,
+            &mut self.stats,
+        );
         let waiters = self.cp_consumers.take(seq);
         for &consumer in &waiters {
             self.wake_cp_consumer(consumer);
@@ -986,17 +739,9 @@ impl DkipProcessor {
     fn cp_dispatch(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
         let mut dispatched = false;
         for _ in 0..self.cfg.cache_processor.widths.decode {
-            let Some(op) = self.fetch_queue.front() else {
+            let Some(op) = self.front.next_to_dispatch(self.cycle) else {
                 break;
             };
-            if let Some(&blocking) = self.unresolved_mispredicts.front() {
-                if op.seq > blocking {
-                    break;
-                }
-            }
-            if self.cycle < self.fetch_resume_at && op.seq > self.refill_boundary {
-                break;
-            }
             if !self.rob.has_space() {
                 self.stats.rob_full_stall_cycles += 1;
                 break;
@@ -1013,7 +758,7 @@ impl DkipProcessor {
                 break;
             }
 
-            let op = self.fetch_queue.pop_front().expect("checked non-empty");
+            let op = self.front.take_next();
             dispatched = true;
             let seq = op.seq;
             if let Some(t) = probe.as_deref_mut() {
@@ -1043,16 +788,7 @@ impl DkipProcessor {
                 self.cp_consumers.push(producer, seq);
             }
             entry.pending_srcs = pending_producers.len();
-
-            if entry.op.is_conditional_branch() {
-                let predicted = self.predictor.predict(entry.op.pc);
-                entry.predicted_taken = predicted;
-                let actual = entry.op.branch.expect("conditional branch").taken;
-                entry.mispredicted = predicted != actual;
-                if entry.mispredicted {
-                    self.unresolved_mispredicts.push_back(seq);
-                }
-            }
+            self.front.predict(&mut entry);
 
             match entry.op.class {
                 OpClass::Load => {
@@ -1080,75 +816,138 @@ impl DkipProcessor {
         }
         dispatched
     }
+}
 
-    fn fetch(
+impl Engine for DkipProcessor {
+    fn front_end(&self) -> &FrontEnd {
+        &self.front
+    }
+
+    fn front_end_mut(&mut self) -> &mut FrontEnd {
+        &mut self.front
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn stats(&self) -> &SimStats {
+        &self.stats
+    }
+
+    fn clock_mut(&mut self) -> (&mut u64, &mut SimStats) {
+        (&mut self.cycle, &mut self.stats)
+    }
+
+    /// One cycle of every decoupled engine, back to front: load values
+    /// arriving at the Address Processor, Memory Processor completion and
+    /// issue, LLIB → MP transfer, then the Cache Processor's writeback,
+    /// Analyze, issue, dispatch and fetch. Progress is a load value
+    /// arriving or any instruction moving through one of them.
+    fn tick(
         &mut self,
         trace: &mut dyn Iterator<Item = MicroOp>,
         mut probe: Option<&mut Telemetry>,
     ) -> bool {
-        if !self.unresolved_mispredicts.is_empty() || self.cycle < self.fetch_resume_at {
-            self.stats.mispredict_stall_cycles += 1;
-            return false;
+        self.cycle += 1;
+        self.stats.ticks_executed += 1;
+        self.cp_fus.begin_cycle();
+        self.mp_int.begin_cycle();
+        self.mp_fp.begin_cycle();
+        let mut arrived_loads = std::mem::take(&mut self.arrived_scratch);
+        arrived_loads.clear();
+        self.ap.begin_cycle_into(self.cycle, &mut arrived_loads);
+        for &load in &arrived_loads {
+            self.handle_load_value_arrival(load, probe.as_deref_mut());
         }
-        let mut fetched = false;
-        let limit = self.cfg.cache_processor.widths.fetch * 3;
-        for _ in 0..self.cfg.cache_processor.widths.fetch {
-            if self.fetch_queue.len() >= limit {
-                break;
-            }
-            let Some(op) = trace.next() else {
-                self.trace_done = true;
-                break;
-            };
-            self.stats.fetched += 1;
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_fetch(&op, self.cycle);
-            }
-            self.fetch_queue.push_back(op);
-            fetched = true;
-        }
-        fetched
+        let mut progress = !arrived_loads.is_empty();
+        self.arrived_scratch = arrived_loads;
+        progress |= self.drain_mp_completions(probe.as_deref_mut());
+        progress |= self.mp_issue(probe.as_deref_mut());
+        progress |= self.llib_to_mp_transfer();
+        progress |= self.cp_writeback(probe.as_deref_mut());
+        progress |= self.analyze(probe.as_deref_mut());
+        progress |= self.cp_issue(probe.as_deref_mut());
+        progress |= self.cp_dispatch(probe.as_deref_mut());
+        progress |= self.front.fetch(trace, self.cycle, &mut self.stats, probe);
+        progress
     }
-}
 
-/// Runs an arbitrary correct-path [`MicroOp`] stream for up to `max_instrs`
-/// committed instructions on a D-KIP with configuration `cfg` and memory
-/// hierarchy `mem_cfg`. Finite streams (e.g. the `dkip-riscv` kernels) run
-/// to completion and drain the whole machine.
-///
-/// # Panics
-///
-/// Panics if the memory or processor configuration is invalid.
-#[must_use]
-pub fn run_dkip_stream(
-    cfg: &DkipConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-) -> SimStats {
-    run_dkip_stream_probed(cfg, mem_cfg, stream, max_instrs, None)
-}
+    /// A Cache Processor completion, a Memory Processor completion, a
+    /// long-latency load value arriving at the Address Processor (or any
+    /// outstanding cache fill), or the Aging-ROB head reaching the Analyze
+    /// stage.
+    fn back_end_event(&mut self) -> Option<u64> {
+        let now = self.cycle;
+        let mut next = self
+            .cp_completions
+            .peek()
+            .map(|&Reverse((cycle, _))| cycle)
+            .filter(|&cycle| cycle > now);
+        let mut consider = |candidate: Option<u64>| {
+            if let Some(cycle) = candidate {
+                next = Some(next.map_or(cycle, |n| n.min(cycle)));
+            }
+        };
+        consider(self.mp_int.next_event(now));
+        consider(self.mp_fp.next_event(now));
+        consider(self.ap.next_event(now));
+        // The Aging-ROB: a head that has not aged yet becomes analyzable at
+        // a fixed future cycle even if nothing else happens.
+        consider(
+            self.rob
+                .head()
+                .map(|head| head.dispatch_cycle + self.cfg.cache_processor.rob_timer)
+                .filter(|&at| at > now),
+        );
+        next
+    }
 
-/// [`run_dkip_stream`] with an optional telemetry sink attached (`None` is
-/// bit-identical to the plain entry point). The pipeline trace records the
-/// D-KIP's CP→MP handoff (the Analyze stage draining an instruction to the
-/// LLIB or handing a long-latency load to the Address Processor) as an
-/// extra per-µop timestamp.
-///
-/// # Panics
-///
-/// Panics if the memory or processor configuration is invalid.
-#[must_use]
-pub fn run_dkip_stream_probed(
-    cfg: &DkipConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-    probe: Option<&mut Telemetry>,
-) -> SimStats {
-    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
-    let mut proc = DkipProcessor::new(cfg.clone(), mem);
-    proc.run_probed(stream, max_instrs, probe)
+    /// Nothing left in the Aging-ROB or on the low-locality side (LLIBs,
+    /// Memory Processors, Address Processor: all tracked by `low_meta`).
+    fn drained(&self) -> bool {
+        self.rob.is_empty() && self.low_meta.is_empty()
+    }
+
+    /// Aging-ROB / CP issue-queue / AP LSQ occupancy, the two LLIBs, the
+    /// LLBV marked count, and the cumulative commit, branch, cache and clock
+    /// counters.
+    fn metrics_frame(&self) -> MetricsFrame {
+        let mut frame = MetricsFrame {
+            cycle: self.cycle,
+            committed: self.stats.committed,
+            rob: self.rob.len() as u64,
+            iq: (self.cp_int_iq.len() + self.cp_fp_iq.len()) as u64,
+            lsq: self.ap.lsq().occupancy() as u64,
+            llib: (self.llib_int.len() + self.llib_fp.len()) as u64,
+            llbv: self.llbv.marked_count() as u64,
+            cond_branches: self.stats.cond_branches,
+            branch_mispredicts: self.stats.branch_mispredicts,
+            ticks_executed: self.stats.ticks_executed,
+            cycles_skipped: self.stats.cycles_skipped,
+            ..MetricsFrame::default()
+        };
+        self.ap.mem_stats().fill_metrics(&mut frame);
+        frame
+    }
+
+    fn finalize_stats(&mut self) {
+        let mem = self.ap.mem_stats();
+        self.stats.l1_hits = mem.l1_hits;
+        self.stats.l2_hits = mem.l2_hits;
+        self.stats.mem_accesses = mem.memory_accesses;
+        self.stats.llib_int_peak_instrs = self.llib_int.peak() as u64;
+        self.stats.llib_fp_peak_instrs = self.llib_fp.peak() as u64;
+        self.stats.llrf_int_peak_regs = self.llrf_int.peak() as u64;
+        self.stats.llrf_fp_peak_regs = self.llrf_fp.peak() as u64;
+        self.stats.checkpoints_taken = self.checkpoints.taken();
+        self.stats.checkpoint_recoveries = self.checkpoints.recoveries();
+    }
+
+    /// Memory ops warm the Address Processor's hierarchy.
+    fn warm_memory(&mut self, addr: u64, is_store: bool) {
+        self.ap.warm_access(addr, is_store);
+    }
 }
 
 /// Runs `benchmark` for `max_instrs` committed instructions on a D-KIP with
@@ -1165,12 +964,8 @@ pub fn run_dkip(
     max_instrs: u64,
     seed: u64,
 ) -> SimStats {
-    run_dkip_stream(
-        cfg,
-        mem_cfg,
-        &mut TraceGenerator::new(benchmark, seed),
-        max_instrs,
-    )
+    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
+    DkipProcessor::new(cfg.clone(), mem).run(&mut TraceGenerator::new(benchmark, seed), max_instrs)
 }
 
 #[cfg(test)]

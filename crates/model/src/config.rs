@@ -15,8 +15,9 @@
 
 use crate::error::ConfigError;
 
-/// Environment variable that forces every core to single-step quiesced
-/// cycles instead of skipping them with the event-driven clock.
+/// Environment variable that forces every engine the experiment harness
+/// builds to single-step quiesced cycles instead of skipping them with the
+/// event-driven clock.
 ///
 /// Any value other than `0` or the empty string disables skipping. The
 /// equivalence tests use this to prove that the two clock modes produce
@@ -25,9 +26,11 @@ pub const NO_SKIP_ENV: &str = "DKIP_NO_SKIP";
 
 /// Whether the event-driven clock may skip quiesced cycles.
 ///
-/// Reads [`NO_SKIP_ENV`] (`DKIP_NO_SKIP`); cores sample this once at
-/// construction time, so a test flipping the variable between runs affects
-/// every core built afterwards but never a simulation already in flight.
+/// Reads [`NO_SKIP_ENV`] (`DKIP_NO_SKIP`). The experiment harness
+/// (`dkip_sim::Machine::build`) samples this once per engine it builds, so
+/// a test flipping the variable between runs affects every engine built
+/// afterwards but never a simulation already in flight. Engines built
+/// directly start with skipping on.
 #[must_use]
 pub fn event_clock_enabled() -> bool {
     !matches!(

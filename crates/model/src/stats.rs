@@ -806,26 +806,14 @@ pub struct WindowSample {
     pub cycles: u64,
 }
 
-impl WindowSample {
-    /// The window's IPC; 0.0 for an empty window.
-    #[must_use]
-    pub fn ipc(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.committed as f64 / self.cycles as f64
-        }
-    }
-}
-
 /// A whole-run IPC estimate produced by [`SampleEstimator::estimate`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IpcEstimate {
     /// The ratio-estimator IPC: total committed over total cycles across
     /// every measured window.
     pub ipc: f64,
-    /// Half-width of the 95% confidence interval around the per-window
-    /// mean IPC (normal approximation); 0.0 with fewer than two windows.
+    /// Half-width of the 95% confidence interval around `ipc` (normal
+    /// approximation); 0.0 with fewer than two windows.
     pub ci95: f64,
     /// Number of measured windows that contributed.
     pub windows: usize,
@@ -842,11 +830,11 @@ pub struct IpcEstimate {
 /// The point estimate is the *ratio estimator* — total committed
 /// instructions over total cycles across all measured windows — which
 /// weights longer windows proportionally and converges to the exact-run
-/// IPC as coverage grows. The confidence interval treats the per-window
-/// IPCs as independent samples and applies the normal approximation:
-/// `1.96·s/√n`, where `s` is the sample standard deviation. A single
-/// window yields a zero-width interval (no variance information), which is
-/// the degenerate case the unit tests pin.
+/// IPC as coverage grows. The confidence interval is the ratio estimator's
+/// own (see [`SampleEstimator::ci95_half_width`]), with the windows treated
+/// as independent samples under the normal approximation. A single window
+/// yields a zero-width interval (no variance information), which is the
+/// degenerate case the unit tests pin.
 #[derive(Debug, Clone, Default)]
 pub struct SampleEstimator {
     windows: Vec<WindowSample>,
@@ -909,45 +897,30 @@ impl SampleEstimator {
         }
     }
 
-    /// Arithmetic mean of the per-window IPCs; 0.0 when empty.
-    #[must_use]
-    pub fn mean_window_ipc(&self) -> f64 {
-        if self.windows.is_empty() {
-            return 0.0;
-        }
-        self.windows.iter().map(WindowSample::ipc).sum::<f64>() / self.windows.len() as f64
-    }
-
-    /// Sample standard deviation of the per-window IPCs (n−1 denominator);
+    /// Half-width of the 95% confidence interval around the ratio estimate
+    /// `R = Σyᵢ / Σcᵢ` (committed `yᵢ` over cycles `cᵢ` per window): the
+    /// linearised standard error of a ratio estimator,
+    /// `1.96·√(Σ(yᵢ − R·cᵢ)² / ((n−1)·n·c̄²))`. Unlike the spread of the
+    /// per-window IPCs it weights each window by its length, as `R` does.
     /// 0.0 with fewer than two windows.
-    #[must_use]
-    pub fn window_ipc_stddev(&self) -> f64 {
-        let n = self.windows.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.mean_window_ipc();
-        let var = self
-            .windows
-            .iter()
-            .map(|w| {
-                let d = w.ipc() - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
-
-    /// Half-width of the 95% confidence interval around the per-window
-    /// mean IPC: `1.96·s/√n`. 0.0 with fewer than two windows.
     #[must_use]
     pub fn ci95_half_width(&self) -> f64 {
         let n = self.windows.len();
         if n < 2 {
             return 0.0;
         }
-        1.96 * self.window_ipc_stddev() / (n as f64).sqrt()
+        let ratio = self.ipc();
+        let residual_ss: f64 = self
+            .windows
+            .iter()
+            .map(|w| {
+                let d = w.committed as f64 - ratio * w.cycles as f64;
+                d * d
+            })
+            .sum();
+        let n = n as f64;
+        let mean_cycles = self.total_cycles() as f64 / n;
+        1.96 * (residual_ss / ((n - 1.0) * n * mean_cycles * mean_cycles)).sqrt()
     }
 
     /// The combined estimate.
@@ -1090,10 +1063,11 @@ mod tests {
     #[test]
     fn sample_estimator_matches_hand_computed_mean_and_ci() {
         // Three windows with IPCs 2.0, 1.0 and 0.5:
-        //   ratio estimate      = (100+100+100)/(50+100+200) = 300/350 = 6/7
-        //   mean window IPC     = (2 + 1 + 0.5)/3            = 7/6
-        //   sample variance     = ((5/6)² + (1/6)² + (4/6)²)/2 = 7/12
-        //   95% CI half-width   = 1.96·√(7/12)/√3
+        //   ratio estimate R    = (100+100+100)/(50+100+200) = 300/350 = 6/7
+        //   residuals y − R·c   = 400/7, 100/7, −500/7; Σ² = 60000/7
+        //   mean window length  = 350/3
+        //   95% CI half-width   = 1.96·√((60000/7)/(2·3·(350/3)²))
+        //                       = 1.96·6/(7√7) ≈ 0.6350
         let mut est = SampleEstimator::new();
         est.add_window(WindowSample {
             start_instr: 0,
@@ -1114,9 +1088,8 @@ mod tests {
         assert_eq!(est.total_committed(), 300);
         assert_eq!(est.total_cycles(), 350);
         assert!((est.ipc() - 6.0 / 7.0).abs() < 1e-12);
-        assert!((est.mean_window_ipc() - 7.0 / 6.0).abs() < 1e-12);
-        assert!((est.window_ipc_stddev() - (7.0f64 / 12.0).sqrt()).abs() < 1e-12);
-        let expected_ci = 1.96 * (7.0f64 / 12.0).sqrt() / 3.0f64.sqrt();
+        let expected_ci = 1.96 * 6.0 / (7.0 * 7.0f64.sqrt());
+        assert!((expected_ci - 0.6350).abs() < 5e-5);
         assert!((est.ci95_half_width() - expected_ci).abs() < 1e-12);
         let e = est.estimate();
         assert_eq!(e.windows, 3);
@@ -1138,8 +1111,6 @@ mod tests {
         });
         assert_eq!(est.len(), 1);
         assert!((est.ipc() - 123.0 / 456.0).abs() < 1e-12);
-        assert!((est.mean_window_ipc() - 123.0 / 456.0).abs() < 1e-12);
-        assert_eq!(est.window_ipc_stddev(), 0.0);
         assert_eq!(est.ci95_half_width(), 0.0);
         assert_eq!(est.estimate().ci95, 0.0);
     }
@@ -1170,8 +1141,29 @@ mod tests {
             });
         }
         assert!((est.ipc() - 2.5).abs() < 1e-12);
-        assert_eq!(est.window_ipc_stddev(), 0.0);
         assert_eq!(est.ci95_half_width(), 0.0);
+    }
+
+    #[test]
+    fn the_interval_weights_windows_by_their_length() {
+        // Windows of 10, 10 and 20 cycles with IPCs 3, 1 and 2:
+        //   R = (30+10+40)/(10+10+20) = 2; residuals y − R·c = 10, −10, 0
+        //   mean window length 40/3, so the 95% CI half-width is
+        //   1.96·√(200/(2·3·(40/3)²)) = 1.96·√3/4 ≈ 0.8487.
+        // The spread of the unweighted per-window IPCs would give
+        // 1.96·1/√3 ≈ 1.1316 instead, around their mean (also 2 here).
+        let mut est = SampleEstimator::new();
+        for (i, (committed, cycles)) in [(30, 10), (10, 10), (40, 20)].into_iter().enumerate() {
+            est.add_window(WindowSample {
+                start_instr: i as u64 * 1_000,
+                committed,
+                cycles,
+            });
+        }
+        assert!((est.ipc() - 2.0).abs() < 1e-12);
+        let expected_ci = 1.96 * 3.0f64.sqrt() / 4.0;
+        assert!((est.ci95_half_width() - expected_ci).abs() < 1e-12);
+        assert!((est.estimate().ci95 - expected_ci).abs() < 1e-12);
     }
 
     #[test]

@@ -16,10 +16,11 @@ use crate::fu::{FunctionalUnits, MemPorts};
 use crate::iq::IssueQueue;
 use crate::lsq::{Lsq, FORWARD_LATENCY};
 use crate::rob::{Rob, RobEntry};
-use dkip_bpred::{BranchPredictor, PredictorKind};
+use crate::shell::{Engine, FrontEnd};
+use dkip_bpred::PredictorKind;
 use dkip_mem::{AccessLevel, MemoryHierarchy};
 use dkip_model::config::{
-    event_clock_enabled, BaselineConfig, FuConfig, MemoryHierarchyConfig, SchedPolicy, WidthConfig,
+    BaselineConfig, FuConfig, MemoryHierarchyConfig, SchedPolicy, WidthConfig,
 };
 use dkip_model::telemetry::{MetricsFrame, Stage, Telemetry};
 use dkip_model::{
@@ -115,7 +116,7 @@ impl CoreSnapshot {
 pub struct OooCore {
     params: CoreParams,
     mem: MemoryHierarchy,
-    predictor: Box<dyn BranchPredictor>,
+    front: FrontEnd,
     cycle: u64,
     rob: Rob,
     int_iq: IssueQueue,
@@ -131,16 +132,6 @@ pub struct OooCore {
     /// Architectural register → seq of its most recent producer (flat
     /// scoreboard).
     last_writer: LastWriters,
-    /// Fetched but not yet dispatched instructions.
-    fetch_queue: VecDeque<MicroOp>,
-    /// Dispatched, mispredicted, not-yet-resolved conditional branches
-    /// (front = oldest). Fetch and younger dispatch stall behind the front.
-    unresolved_mispredicts: VecDeque<u64>,
-    /// Cycle at which fetch may resume after the refill penalty.
-    fetch_resume_at: u64,
-    /// Instructions with a sequence number greater than this may not
-    /// dispatch while the refill penalty is being paid.
-    refill_boundary: u64,
     /// Instructions parked in the slow lane (present only when configured).
     slow_lane: FastHashSet<u64>,
     /// Parked instructions whose operands are now ready, waiting for issue
@@ -149,15 +140,6 @@ pub struct OooCore {
     /// Instructions that produce a long-latency (memory) value and have not
     /// completed yet.
     long_latency_producers: FastHashSet<u64>,
-    /// Whether the trace iterator has returned `None` (finite traces such as
-    /// the execution-driven RISC-V kernels end; the synthetic generators
-    /// never do).
-    trace_done: bool,
-    /// Force one `tick()` per simulated cycle instead of letting [`run`]
-    /// fast-forward over quiesced stretches (set by `DKIP_NO_SKIP=1`).
-    ///
-    /// [`run`]: OooCore::run
-    single_step: bool,
     stats: SimStats,
     issue_hist: Option<Histogram>,
     /// Reusable per-cycle selection buffer (see [`IssueQueue::select_into`]).
@@ -170,7 +152,6 @@ impl OooCore {
     /// Builds a core from engine parameters and a memory hierarchy.
     #[must_use]
     pub fn new(params: CoreParams, mem: MemoryHierarchy) -> Self {
-        let predictor = params.predictor.build();
         let issue_hist = params
             .collect_issue_histogram
             .then(|| Histogram::new(20, 2000));
@@ -184,21 +165,15 @@ impl OooCore {
             completions: BinaryHeap::with_capacity(params.window.min(4096)),
             consumers: WindowConsumerTable::new(params.window),
             last_writer: LastWriters::new(),
-            fetch_queue: VecDeque::new(),
-            unresolved_mispredicts: VecDeque::new(),
-            fetch_resume_at: 0,
-            refill_boundary: u64::MAX,
             slow_lane: fast_set_with_capacity(params.slow_lane.unwrap_or(0).min(4096)),
             reinsert_queue: VecDeque::new(),
             long_latency_producers: fast_set_with_capacity(params.window.min(4096)),
-            trace_done: false,
-            single_step: !event_clock_enabled(),
             stats: SimStats::new(),
             issue_hist,
             issue_scratch: Vec::new(),
             frontier_scratch: Vec::new(),
             cycle: 0,
-            predictor,
+            front: FrontEnd::new(params.predictor, params.widths.fetch),
             mem,
             params,
         }
@@ -214,18 +189,6 @@ impl OooCore {
     #[must_use]
     pub fn params(&self) -> &CoreParams {
         &self.params
-    }
-
-    /// Current cycle count.
-    #[must_use]
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Forces (or releases) single-stepped simulation regardless of the
-    /// `DKIP_NO_SKIP` environment variable sampled at construction.
-    pub fn set_single_step(&mut self, single_step: bool) {
-        self.single_step = single_step;
     }
 
     /// Captures a checkpoint of the complete core state (pipeline, caches,
@@ -249,179 +212,14 @@ impl OooCore {
         *self = snapshot.state.clone();
     }
 
-    /// Functionally warms the long-lived microarchitectural state with one
-    /// instruction that is *not* being simulated in detail: memory ops
-    /// install/promote their line in the cache hierarchy (timing-free, see
-    /// [`MemoryHierarchy::warm_access`]) and conditional branches train the
-    /// direction predictor with the in-order predict/update pair the
-    /// pipeline itself would apply.
-    ///
-    /// The sampled-simulation mode calls this for every fast-forwarded
-    /// instruction so detailed windows measure against cache and predictor
-    /// contents that track the exact run, without modelling any timing. The
-    /// pipeline, clock and committed counters are untouched.
+    /// [`Engine::warm_op`], callable without the trait in scope.
     pub fn warm_op(&mut self, op: &MicroOp) {
-        if let Some(addr) = op.mem_addr {
-            self.mem.warm_access(addr, op.is_store());
-        }
-        if op.is_conditional_branch() {
-            let taken = op.branch.expect("conditional branch").taken;
-            let predicted = self.predictor.predict(op.pc);
-            self.predictor.update(op.pc, taken, predicted);
-        }
+        Engine::warm_op(self, op);
     }
 
-    /// Runs the core until `max_instrs` instructions have committed, the
-    /// trace ends and the pipeline drains (finite execution-driven streams
-    /// run to completion), or a safety cycle bound is hit. Returns the
-    /// accumulated statistics.
-    ///
-    /// Unless single-stepping is forced (`DKIP_NO_SKIP=1`), quiesced
-    /// stretches — a tick that fetched, dispatched, issued, reinserted,
-    /// completed and committed nothing — are fast-forwarded to the earliest
-    /// [`OooCore::next_event`], with the per-cycle stall counters bumped by
-    /// the skipped delta so every statistic stays bit-identical to
-    /// single-stepping.
+    /// [`Engine::run`], callable without the trait in scope.
     pub fn run(&mut self, trace: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        self.run_probed(trace, max_instrs, None)
-    }
-
-    /// [`OooCore::run`] with an optional telemetry sink attached. The sink
-    /// is a run parameter, not core state, so snapshots and `Clone` are
-    /// unaffected; with `None` each probe site costs one predictable
-    /// branch and no allocation, and the simulation is bit-identical
-    /// either way.
-    pub fn run_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        max_instrs: u64,
-        mut probe: Option<&mut Telemetry>,
-    ) -> SimStats {
-        let cycle_cap = self
-            .cycle
-            .saturating_add(max_instrs.saturating_mul(2000).max(1_000_000));
-        // Each run() call may bring a fresh trace, so exhaustion must not
-        // latch across calls (it re-latches on the first empty fetch).
-        self.trace_done = false;
-        while self.stats.committed < max_instrs && self.cycle < cycle_cap {
-            let stalls_before = self.stats.stall_counter_snapshot();
-            let progress = self.tick_probed(trace, probe.as_deref_mut());
-            if let Some(t) = probe.as_deref_mut() {
-                if t.metrics_due(self.stats.committed) {
-                    t.record_metrics(&self.metrics_frame());
-                }
-            }
-            if self.trace_done && self.fetch_queue.is_empty() && self.rob.is_empty() {
-                break;
-            }
-            if !progress && !self.single_step {
-                self.skip_quiesced_cycles(cycle_cap, stalls_before);
-            }
-        }
-        self.finalize_stats();
-        self.stats.clone()
-    }
-
-    /// Advances the pipeline by one cycle.
-    pub fn tick(&mut self, trace: &mut dyn Iterator<Item = MicroOp>) {
-        let _ = self.tick_probed(trace, None);
-    }
-
-    /// Advances the pipeline by one cycle and reports whether any work
-    /// happened: an instruction fetched, dispatched, issued, reinserted,
-    /// completed or committed. A `false` return means the machine state is
-    /// unchanged apart from time-gated conditions, so every following cycle
-    /// until [`OooCore::next_event`] would be identical.
-    ///
-    /// The telemetry sink observes exactly the work the progress flag
-    /// reports: any stage that can make progress must feed both.
-    fn tick_probed(
-        &mut self,
-        trace: &mut dyn Iterator<Item = MicroOp>,
-        mut probe: Option<&mut Telemetry>,
-    ) -> bool {
-        self.cycle += 1;
-        self.stats.ticks_executed += 1;
-        self.fus.begin_cycle();
-        self.ports.begin_cycle();
-        let mut progress = self.do_commit(probe.as_deref_mut());
-        progress |= self.do_writeback(probe.as_deref_mut());
-        progress |= self.do_reinsert();
-        progress |= self.do_issue(probe.as_deref_mut());
-        progress |= self.do_dispatch(probe.as_deref_mut());
-        progress |= self.do_fetch(trace, probe);
-        progress
-    }
-
-    /// Snapshot of the occupancies and cumulative counters the interval
-    /// metrics report, taken at a row boundary. The slow lane (KILO) maps
-    /// onto the frame's low-locality-buffer column; the plain baseline has
-    /// neither an LLIB nor an LLBV.
-    fn metrics_frame(&self) -> MetricsFrame {
-        let mut frame = MetricsFrame {
-            cycle: self.cycle,
-            committed: self.stats.committed,
-            rob: self.rob.len() as u64,
-            iq: (self.int_iq.len() + self.fp_iq.len()) as u64,
-            lsq: self.lsq.occupancy() as u64,
-            llib: self.slow_lane.len() as u64,
-            llbv: 0,
-            cond_branches: self.stats.cond_branches,
-            branch_mispredicts: self.stats.branch_mispredicts,
-            ticks_executed: self.stats.ticks_executed,
-            cycles_skipped: self.stats.cycles_skipped,
-            ..MetricsFrame::default()
-        };
-        self.mem.stats().fill_metrics(&mut frame);
-        frame
-    }
-
-    /// The earliest future cycle (strictly after the current one) at which
-    /// the core's state can change without new work arriving: the next
-    /// scheduled execution completion, the end of the front-end refill
-    /// penalty, or the next outstanding cache fill. `None` means no event is
-    /// pending and the machine can never wake on its own.
-    #[must_use]
-    pub fn next_event(&mut self) -> Option<u64> {
-        let mut next = self
-            .completions
-            .peek()
-            .map(|&Reverse((cycle, _))| cycle)
-            .filter(|&cycle| cycle > self.cycle);
-        if self.fetch_resume_at > self.cycle {
-            next = Some(next.map_or(self.fetch_resume_at, |n| n.min(self.fetch_resume_at)));
-        }
-        if let Some(fill) = self.mem.next_event(self.cycle) {
-            next = Some(next.map_or(fill, |n| n.min(fill)));
-        }
-        next
-    }
-
-    /// Fast-forwards over a quiesced stretch: advances `cycle` to just
-    /// before the next event (or past `cycle_cap` when no event is pending,
-    /// matching a single-stepped spin to the cap) and replays the per-cycle
-    /// stall bumps the skipped ticks would have performed.
-    fn skip_quiesced_cycles(&mut self, cycle_cap: u64, stalls_before: [u64; 4]) {
-        let event = self
-            .next_event()
-            .unwrap_or_else(|| cycle_cap.saturating_add(1));
-        let target = event.min(cycle_cap.saturating_add(1)) - 1;
-        if target <= self.cycle {
-            return;
-        }
-        let skipped = target - self.cycle;
-        self.cycle = target;
-        self.stats.cycles_skipped += skipped;
-        self.stats.replay_stall_cycles(stalls_before, skipped);
-    }
-
-    fn finalize_stats(&mut self) {
-        self.stats.cycles = self.cycle;
-        let mem_stats = self.mem.stats();
-        self.stats.l1_hits = mem_stats.l1_hits;
-        self.stats.l2_hits = mem_stats.l2_hits;
-        self.stats.mem_accesses = mem_stats.memory_accesses;
-        self.stats.issue_latency = self.issue_hist.clone();
+        Engine::run(self, trace, max_instrs)
     }
 
     fn queue_class(op: &MicroOp) -> RegClass {
@@ -479,34 +277,18 @@ impl OooCore {
             t.trace_stage(seq, Stage::Complete, self.cycle);
         }
         self.long_latency_producers.remove(&seq);
-        let (is_cond_branch, taken, predicted, mispredicted, pc) = {
-            let Some(entry) = self.rob.get_mut(seq) else {
-                return;
-            };
-            entry.completed = true;
-            let is_cond = entry.op.is_conditional_branch();
-            let taken = entry.op.branch.map(|b| b.taken).unwrap_or(false);
-            (
-                is_cond,
-                taken,
-                entry.predicted_taken,
-                entry.mispredicted,
-                entry.op.pc,
-            )
+        let Some(entry) = self.rob.get_mut(seq) else {
+            return;
         };
-
-        if is_cond_branch {
-            self.stats.cond_branches += 1;
-            self.predictor.update(pc, taken, predicted);
-            if mispredicted {
-                self.stats.branch_mispredicts += 1;
-                if self.unresolved_mispredicts.front() == Some(&seq) {
-                    self.unresolved_mispredicts.pop_front();
-                    self.fetch_resume_at = self.cycle + self.params.mispredict_penalty;
-                    self.refill_boundary = seq;
-                }
-            }
-        }
+        entry.completed = true;
+        self.front.resolve(
+            &entry.op,
+            entry.predicted_taken,
+            entry.mispredicted,
+            self.cycle,
+            self.params.mispredict_penalty,
+            &mut self.stats,
+        );
 
         // Wake consumers.
         let waiters = self.consumers.take(seq);
@@ -673,21 +455,9 @@ impl OooCore {
     fn do_dispatch(&mut self, mut probe: Option<&mut Telemetry>) -> bool {
         let mut dispatched = false;
         for _ in 0..self.params.widths.decode {
-            let Some(op) = self.fetch_queue.front() else {
+            let Some(op) = self.front.next_to_dispatch(self.cycle) else {
                 break;
             };
-            // Instructions younger than an unresolved mispredicted branch are
-            // (conceptually) wrong-path refetches: they only enter the
-            // pipeline once the branch has resolved and the refill penalty
-            // has been paid.
-            if let Some(&blocking) = self.unresolved_mispredicts.front() {
-                if op.seq > blocking {
-                    break;
-                }
-            }
-            if self.cycle < self.fetch_resume_at && op.seq > self.refill_boundary {
-                break;
-            }
             if !self.rob.has_space() {
                 self.stats.rob_full_stall_cycles += 1;
                 break;
@@ -733,7 +503,7 @@ impl OooCore {
                 }
             }
 
-            let op = self.fetch_queue.pop_front().expect("checked non-empty");
+            let op = self.front.take_next();
             dispatched = true;
             let seq = op.seq;
             if let Some(t) = probe.as_deref_mut() {
@@ -750,16 +520,7 @@ impl OooCore {
             // register slot once and distinct slots may legitimately wait on
             // the same producer (two wakeups, counted twice at dispatch).
             entry.pending_srcs = pending_producers.len();
-
-            if entry.op.is_conditional_branch() {
-                let predicted = self.predictor.predict(entry.op.pc);
-                entry.predicted_taken = predicted;
-                let actual = entry.op.branch.expect("conditional branch").taken;
-                entry.mispredicted = predicted != actual;
-                if entry.mispredicted {
-                    self.unresolved_mispredicts.push_back(seq);
-                }
-            }
+            self.front.predict(&mut entry);
 
             match entry.op.class {
                 OpClass::Load => {
@@ -796,84 +557,102 @@ impl OooCore {
         }
         dispatched
     }
+}
 
-    // ------------------------------------------------------------------
-    // Fetch
-    // ------------------------------------------------------------------
-    fn do_fetch(
+impl Engine for OooCore {
+    fn front_end(&self) -> &FrontEnd {
+        &self.front
+    }
+
+    fn front_end_mut(&mut self) -> &mut FrontEnd {
+        &mut self.front
+    }
+
+    fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    fn stats(&self) -> &SimStats {
+        &self.stats
+    }
+
+    fn clock_mut(&mut self) -> (&mut u64, &mut SimStats) {
+        (&mut self.cycle, &mut self.stats)
+    }
+
+    /// One cycle: commit, writeback, slow-lane reinsertion, issue, dispatch
+    /// and fetch; progress is any instruction moving through one of them.
+    fn tick(
         &mut self,
         trace: &mut dyn Iterator<Item = MicroOp>,
         mut probe: Option<&mut Telemetry>,
     ) -> bool {
-        if !self.unresolved_mispredicts.is_empty() || self.cycle < self.fetch_resume_at {
-            self.stats.mispredict_stall_cycles += 1;
-            return false;
-        }
-        let mut fetched = false;
-        let limit = self.params.widths.fetch * 3;
-        for _ in 0..self.params.widths.fetch {
-            if self.fetch_queue.len() >= limit {
-                break;
-            }
-            let Some(op) = trace.next() else {
-                self.trace_done = true;
-                break;
-            };
-            self.stats.fetched += 1;
-            if let Some(t) = probe.as_deref_mut() {
-                t.trace_fetch(&op, self.cycle);
-            }
-            self.fetch_queue.push_back(op);
-            fetched = true;
-        }
-        fetched
+        self.cycle += 1;
+        self.stats.ticks_executed += 1;
+        self.fus.begin_cycle();
+        self.ports.begin_cycle();
+        let mut progress = self.do_commit(probe.as_deref_mut());
+        progress |= self.do_writeback(probe.as_deref_mut());
+        progress |= self.do_reinsert();
+        progress |= self.do_issue(probe.as_deref_mut());
+        progress |= self.do_dispatch(probe.as_deref_mut());
+        progress |= self.front.fetch(trace, self.cycle, &mut self.stats, probe);
+        progress
     }
-}
 
-/// Runs an arbitrary correct-path [`MicroOp`] stream for up to `max_instrs`
-/// committed instructions on the baseline configuration `cfg` with memory
-/// hierarchy `mem_cfg`. Finite streams (e.g. the execution-driven RISC-V
-/// kernels of `dkip-riscv`) run to completion and drain the pipeline.
-///
-/// This is the single entry point every workload source funnels through;
-/// [`run_baseline`] is the synthetic-benchmark convenience wrapper.
-///
-/// # Panics
-///
-/// Panics if the memory configuration is invalid.
-#[must_use]
-pub fn run_baseline_stream(
-    cfg: &BaselineConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-) -> SimStats {
-    run_baseline_stream_probed(cfg, mem_cfg, stream, max_instrs, None)
-}
+    /// The next scheduled execution completion or outstanding cache fill.
+    fn back_end_event(&mut self) -> Option<u64> {
+        let completion = self
+            .completions
+            .peek()
+            .map(|&Reverse((cycle, _))| cycle)
+            .filter(|&cycle| cycle > self.cycle);
+        completion
+            .into_iter()
+            .chain(self.mem.next_event(self.cycle))
+            .min()
+    }
 
-/// [`run_baseline_stream`] with an optional telemetry sink attached
-/// (`None` is bit-identical to the plain entry point).
-///
-/// # Panics
-///
-/// Panics if the memory configuration is invalid.
-#[must_use]
-pub fn run_baseline_stream_probed(
-    cfg: &BaselineConfig,
-    mem_cfg: &MemoryHierarchyConfig,
-    stream: &mut dyn Iterator<Item = MicroOp>,
-    max_instrs: u64,
-    probe: Option<&mut Telemetry>,
-) -> SimStats {
-    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
-    let mut core = OooCore::from_baseline(cfg, mem);
-    core.run_probed(stream, max_instrs, probe)
+    fn drained(&self) -> bool {
+        self.rob.is_empty()
+    }
+
+    /// The slow lane (KILO) maps onto the frame's low-locality-buffer
+    /// column; the plain baseline has neither an LLIB nor an LLBV.
+    fn metrics_frame(&self) -> MetricsFrame {
+        let mut frame = MetricsFrame {
+            cycle: self.cycle,
+            committed: self.stats.committed,
+            rob: self.rob.len() as u64,
+            iq: (self.int_iq.len() + self.fp_iq.len()) as u64,
+            lsq: self.lsq.occupancy() as u64,
+            llib: self.slow_lane.len() as u64,
+            llbv: 0,
+            cond_branches: self.stats.cond_branches,
+            branch_mispredicts: self.stats.branch_mispredicts,
+            ticks_executed: self.stats.ticks_executed,
+            cycles_skipped: self.stats.cycles_skipped,
+            ..MetricsFrame::default()
+        };
+        self.mem.stats().fill_metrics(&mut frame);
+        frame
+    }
+
+    fn finalize_stats(&mut self) {
+        let mem_stats = self.mem.stats();
+        self.stats.l1_hits = mem_stats.l1_hits;
+        self.stats.l2_hits = mem_stats.l2_hits;
+        self.stats.mem_accesses = mem_stats.memory_accesses;
+        self.stats.issue_latency = self.issue_hist.clone();
+    }
+
+    fn warm_memory(&mut self, addr: u64, is_store: bool) {
+        self.mem.warm_access(addr, is_store);
+    }
 }
 
 /// Runs `benchmark` for `max_instrs` committed instructions on the baseline
 /// configuration `cfg` with memory hierarchy `mem_cfg`.
-///
-/// This is the entry point used by the Figure 1/2/3/9 experiment drivers.
 ///
 /// # Panics
 ///
@@ -886,12 +665,8 @@ pub fn run_baseline(
     max_instrs: u64,
     seed: u64,
 ) -> SimStats {
-    run_baseline_stream(
-        cfg,
-        mem_cfg,
-        &mut TraceGenerator::new(benchmark, seed),
-        max_instrs,
-    )
+    let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
+    OooCore::from_baseline(cfg, mem).run(&mut TraceGenerator::new(benchmark, seed), max_instrs)
 }
 
 #[cfg(test)]
@@ -1137,7 +912,7 @@ mod tests {
         // Fetch → dispatch → issue takes a few cycles; once something is
         // executing, a completion event must be pending.
         for _ in 0..20 {
-            core.tick(&mut trace);
+            core.tick(&mut trace, None);
             if let Some(event) = core.next_event() {
                 assert!(event > core.cycle());
                 return;

@@ -8,13 +8,17 @@
 //!   [`lsq::Lsq`], [`fu::FunctionalUnits`] and [`fu::MemPorts`] — which are
 //!   also used by the D-KIP's Cache Processor (`dkip-core`) and the
 //!   traditional KILO baseline (`dkip-kilo`),
+//! * the engine shell every core family runs under — [`shell::FrontEnd`]
+//!   (fetch, branch prediction, mispredict refill) and the
+//!   [`shell::Engine`] trait, whose provided `run_probed` is the one
+//!   event-clock driver loop,
 //! * [`core::OooCore`], a trace-driven cycle-level out-of-order pipeline
-//!   with branch prediction, dependency-driven wakeup, functional-unit and
-//!   memory-port arbitration, store-to-load forwarding and in-order commit,
+//!   with dependency-driven wakeup, functional-unit and memory-port
+//!   arbitration, store-to-load forwarding and in-order commit,
 //! * an optional *slow lane* (WIB/SLIQ-style buffer) in the same engine,
 //!   used by the KILO-1024 baseline,
-//! * [`core::run_baseline`], the one-call entry point used by the experiment
-//!   drivers.
+//! * [`core::run_baseline`], a one-call entry point for one synthetic
+//!   benchmark (the experiment drivers go through `dkip_sim::Machine`).
 //!
 //! # Example
 //!
@@ -41,12 +45,11 @@ pub mod fu;
 pub mod iq;
 pub mod lsq;
 pub mod rob;
+pub mod shell;
 
-pub use crate::core::{
-    run_baseline, run_baseline_stream, run_baseline_stream_probed, CoreParams, CoreSnapshot,
-    OooCore, LONG_LATENCY_THRESHOLD,
-};
+pub use crate::core::{run_baseline, CoreParams, CoreSnapshot, OooCore, LONG_LATENCY_THRESHOLD};
 pub use fu::{FunctionalUnits, MemPorts};
 pub use iq::IssueQueue;
 pub use lsq::Lsq;
 pub use rob::{Rob, RobEntry};
+pub use shell::{Engine, FrontEnd};

@@ -3,8 +3,14 @@
 //! This crate knows how to run every experiment of the paper's evaluation
 //! section and print the same rows/series the paper reports:
 //!
-//! * [`run_baseline`], [`run_kilo`] and [`run_dkip`] — one-call wrappers for
-//!   the three processor families (re-exported from the core crates),
+//! * [`Machine`] — one of the three processor families with its
+//!   configuration; [`Machine::build`] is the one family dispatch, returning
+//!   a `Box<dyn dkip_ooo::Engine>` that every exact, probed and sampled run
+//!   simulates on (and the one place `DKIP_NO_SKIP` selects the clock
+//!   mode),
+//! * [`run_baseline`], [`run_kilo`] and [`run_dkip`] — one-call
+//!   synthetic-benchmark wrappers for the three families (re-exported from
+//!   the core crates),
 //! * [`suite_mean_ipc`] — arithmetic-mean IPC over a benchmark list, the
 //!   metric of Figures 1, 2, 9, 10, 11 and 12,
 //! * [`experiments`] — one driver function per paper figure/table, each
@@ -19,9 +25,9 @@
 //!   RV64IM program commits the same architectural state on the functional
 //!   emulator and all three core families, plus the shrinking-lite
 //!   minimisers used by `tests/fuzz_differential.rs`,
-//! * [`sampled`] — the sampled-simulation mode: checkpointed detailed
-//!   windows separated by functional fast-forward, estimating whole-run
-//!   IPC with a confidence interval (opt-in per [`Job`] or via the
+//! * [`sampled`] — the sampled-simulation mode: detailed windows on one
+//!   live engine separated by functionally warmed fast-forward, estimating
+//!   whole-run IPC with a confidence interval (opt-in per [`Job`] or via the
 //!   `DKIP_SAMPLE` environment variable; exact mode stays the golden
 //!   reference),
 //! * [`store`] — the persistent content-addressed result store: every
@@ -63,9 +69,9 @@ pub mod store;
 pub mod suites;
 pub mod workload;
 
-pub use dkip_core::{run_dkip, run_dkip_stream};
-pub use dkip_kilo::{run_kilo, run_kilo_stream};
-pub use dkip_ooo::{run_baseline, run_baseline_stream};
+pub use dkip_core::run_dkip;
+pub use dkip_kilo::run_kilo;
+pub use dkip_ooo::run_baseline;
 pub use runner::{Job, JobFailure, JobResult, Machine, SweepReport, SweepRunner};
 pub use sampled::{run_sampled, SampledRun};
 pub use store::{ResultStore, ShardSpec, StoredResult, SweepCheckpoint, CACHE_ENV};

@@ -32,28 +32,30 @@ use std::time::{Duration, Instant};
 use crate::chaos::{self, FaultPoint};
 use crate::store::{ResultStore, StoredResult};
 use crate::workload::Workload;
-use dkip_core::run_dkip_stream_probed;
-use dkip_kilo::run_kilo_stream_probed;
+use dkip_core::DkipProcessor;
+use dkip_kilo::build_kilo_core;
+use dkip_mem::MemoryHierarchy;
 use dkip_model::config::{
     event_clock_enabled, BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig,
 };
 use dkip_model::{KeyWriter, MetricsConfig, SampleConfig, SimStats, StableKey, Telemetry};
-use dkip_ooo::run_baseline_stream_probed;
+use dkip_ooo::{Engine, OooCore};
 
 /// Environment variable overriding the worker-pool size.
 pub const THREADS_ENV: &str = "DKIP_THREADS";
 
 /// One of the three simulated processor families, with its configuration.
 ///
-/// A `Machine` is the "what to simulate" half of a [`Job`]; it dispatches to
-/// the matching `run_*` entry point of the owning crate.
+/// A `Machine` is the "what to simulate" half of a [`Job`];
+/// [`Machine::build`] turns it into the matching [`Engine`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Machine {
-    /// An R10000-style out-of-order baseline (`dkip_ooo::run_baseline`).
+    /// An R10000-style out-of-order baseline ([`OooCore`]).
     Baseline(BaselineConfig),
-    /// The traditional KILO-instruction processor (`dkip_kilo::run_kilo`).
+    /// The traditional KILO-instruction processor: an [`OooCore`] with a
+    /// slow lane ([`build_kilo_core`]).
     Kilo(KiloConfig),
-    /// The Decoupled KILO-Instruction Processor (`dkip_core::run_dkip`).
+    /// The Decoupled KILO-Instruction Processor ([`DkipProcessor`]).
     Dkip(DkipConfig),
 }
 
@@ -78,12 +80,36 @@ impl Machine {
         }
     }
 
+    /// Builds a fresh engine of this machine's family over a cold memory
+    /// hierarchy `mem`.
+    ///
+    /// This is the one family dispatch: exact runs, probed runs and sampled
+    /// runs all simulate on the engine it returns. It is also the one place
+    /// the clock mode is decided: `DKIP_NO_SKIP`
+    /// ([`event_clock_enabled`]) forces single-stepping, which changes host
+    /// time only — the statistics are identical either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memory or machine configuration is invalid.
+    #[must_use]
+    pub fn build(&self, mem: &MemoryHierarchyConfig) -> Box<dyn Engine> {
+        let hierarchy = MemoryHierarchy::new(mem.clone()).expect("invalid memory configuration");
+        let mut engine: Box<dyn Engine> = match self {
+            Machine::Baseline(cfg) => Box::new(OooCore::from_baseline(cfg, hierarchy)),
+            Machine::Kilo(cfg) => Box::new(build_kilo_core(cfg, hierarchy)),
+            Machine::Dkip(cfg) => Box::new(DkipProcessor::new(cfg.clone(), hierarchy)),
+        };
+        engine.set_single_step(!event_clock_enabled());
+        engine
+    }
+
     /// Runs this machine on one workload and returns its statistics.
     ///
     /// This is the single path every (family × workload) combination runs
     /// through: the workload opens its [`dkip_model::MicroOp`] stream and
-    /// [`Machine::simulate_stream`] dispatches it to the matching
-    /// `run_*_stream` entry point. Synthetic benchmarks run for `budget`
+    /// [`Machine::simulate_stream`] runs it on the engine
+    /// [`Machine::build`] returns. Synthetic benchmarks run for `budget`
     /// committed instructions; finite execution-driven kernels run to
     /// completion (bounded by `budget`).
     #[must_use]
@@ -100,10 +126,10 @@ impl Machine {
 
     /// Runs this machine on an already-open [`dkip_model::MicroOp`] stream.
     ///
-    /// This is the family dispatch [`Machine::simulate`] funnels through;
-    /// the differential-fuzz harness ([`crate::fuzz`]) calls it directly so
-    /// a generated program's [`dkip_riscv::RiscvStream`] can be inspected
-    /// (final emulator state) after the core drains it.
+    /// [`Machine::simulate`] funnels through this; the differential-fuzz
+    /// harness ([`crate::fuzz`]) calls it directly so a generated program's
+    /// [`dkip_riscv::RiscvStream`] can be inspected (final emulator state)
+    /// after the core drains it.
     #[must_use]
     pub fn simulate_stream(
         &self,
@@ -115,8 +141,8 @@ impl Machine {
     }
 
     /// [`Machine::simulate_stream`] with an optional telemetry sink
-    /// attached. `None` is the exact entry point the plain dispatch takes,
-    /// so a detached probe is bit-identical to not probing at all; a sink
+    /// attached. `None` is the exact path the plain entry point takes, so a
+    /// detached probe is bit-identical to not probing at all; a sink
     /// collects interval metrics and/or a Konata/O3PipeView pipeline trace
     /// without perturbing the simulated statistics.
     #[must_use]
@@ -127,11 +153,7 @@ impl Machine {
         budget: u64,
         probe: Option<&mut Telemetry>,
     ) -> SimStats {
-        match self {
-            Machine::Baseline(cfg) => run_baseline_stream_probed(cfg, mem, stream, budget, probe),
-            Machine::Kilo(cfg) => run_kilo_stream_probed(cfg, mem, stream, budget, probe),
-            Machine::Dkip(cfg) => run_dkip_stream_probed(cfg, mem, stream, budget, probe),
-        }
+        self.build(mem).run_probed(stream, budget, probe)
     }
 }
 

@@ -17,10 +17,12 @@
 //!                                 and predictor, no timing is modelled
 //! ```
 //!
-//! * One live core runs every period. Between periods it is drained: the
-//!   instructions still in flight when the window ends commit against an
-//!   exhausted stream, so the post-gap ops (whose sequence numbers jump
-//!   past the skipped span) enter an empty pipeline. Warm long-lived state —
+//! * One live core — the engine [`Machine::build`] returns, so every family
+//!   samples through the same [`dkip_ooo::Engine`] calls — runs every
+//!   period. Between periods it is drained: the instructions still in
+//!   flight when the window ends commit against an exhausted stream, so
+//!   the post-gap ops (whose sequence numbers jump past the skipped span)
+//!   enter an empty pipeline. Warm long-lived state —
 //!   caches, branch predictor, statistics — carries across the gaps, while
 //!   no stale in-flight pipeline state can leak into the measurement (the
 //!   skipped instructions were never simulated in detail). A drained core
@@ -35,84 +37,24 @@
 //!   the stream position stays bit-identical to detailed consumption and a
 //!   sampled run commits the exact same architectural state as an exact
 //!   run — the differential-fuzz oracle asserts this) and handed to the
-//!   drained core's `warm_op`, which installs memory lines in the cache
-//!   hierarchy and trains the branch predictor without modelling timing.
+//!   drained core's `warm_op` (one `Engine::fast_forward` call per gap),
+//!   which installs memory lines in the cache hierarchy and trains the
+//!   branch predictor without modelling timing.
 //!   Without this, miss-dominated workloads measure their windows against
 //!   fictitious cache contents and the estimate degrades catastrophically.
 //!
 //! The estimate itself is the ratio estimator over the per-window
-//! populations with a normal-approximation 95% confidence interval
-//! ([`dkip_model::SampleEstimator`]). Exact mode remains the golden
-//! reference: `tests/sampled_accuracy.rs` pins the sampled estimate to a
-//! small relative-error band against exact IPC on every golden suite.
+//! populations, with the ratio estimator's own normal-approximation 95%
+//! confidence interval ([`dkip_model::SampleEstimator`]). Exact mode
+//! remains the golden reference: `tests/sampled_accuracy.rs` pins the
+//! sampled estimate to a small relative-error band against exact IPC on
+//! every golden suite.
 
-use dkip_core::DkipProcessor;
-use dkip_kilo::build_kilo_core;
-use dkip_mem::MemoryHierarchy;
 use dkip_model::config::MemoryHierarchyConfig;
 use dkip_model::{IpcEstimate, MicroOp, SampleConfig, SampleEstimator, SimStats, WindowSample};
-use dkip_ooo::OooCore;
 
 use crate::runner::Machine;
 use crate::workload::WorkloadStream;
-
-/// A detailed-simulation core of any of the three families, unified behind
-/// the two operations sampling needs: "run until N committed" and "what
-/// cycle is it". Baseline and KILO share the [`OooCore`] engine; the D-KIP
-/// has its own decoupled pipeline.
-#[derive(Debug)]
-enum SampleCore {
-    /// Baseline or KILO configuration on the shared out-of-order engine.
-    Ooo(Box<OooCore>),
-    /// The decoupled cache/memory-processor pipeline.
-    Dkip(Box<DkipProcessor>),
-}
-
-impl SampleCore {
-    /// Builds the pristine (reset) core for `machine` that runs the first
-    /// period.
-    fn build(machine: &Machine, mem_cfg: &MemoryHierarchyConfig) -> SampleCore {
-        let mem = MemoryHierarchy::new(mem_cfg.clone()).expect("invalid memory configuration");
-        match machine {
-            Machine::Baseline(cfg) => SampleCore::Ooo(Box::new(OooCore::from_baseline(cfg, mem))),
-            Machine::Kilo(cfg) => SampleCore::Ooo(Box::new(build_kilo_core(cfg, mem))),
-            Machine::Dkip(cfg) => SampleCore::Dkip(Box::new(DkipProcessor::new(cfg.clone(), mem))),
-        }
-    }
-
-    /// Runs until `max_instrs` instructions have committed in total (the
-    /// bound is cumulative across calls, like the underlying cores').
-    fn run(&mut self, stream: &mut dyn Iterator<Item = MicroOp>, max_instrs: u64) -> SimStats {
-        match self {
-            SampleCore::Ooo(core) => core.run(stream, max_instrs),
-            SampleCore::Dkip(proc_) => proc_.run(stream, max_instrs),
-        }
-    }
-
-    /// Commits everything still in flight by running against an exhausted
-    /// stream. A drained pipeline is the precondition for the next period:
-    /// the ops after the fast-forward gap carry discontinuous sequence
-    /// numbers, which an empty ROB accepts.
-    fn drain(&mut self) -> SimStats {
-        self.run(&mut std::iter::empty(), u64::MAX)
-    }
-
-    /// The core's current cycle count.
-    fn cycle(&self) -> u64 {
-        match self {
-            SampleCore::Ooo(core) => core.cycle(),
-            SampleCore::Dkip(proc_) => proc_.cycle(),
-        }
-    }
-
-    /// Functionally warms caches and predictor with one skipped op.
-    fn warm_op(&mut self, op: &MicroOp) {
-        match self {
-            SampleCore::Ooo(core) => core.warm_op(op),
-            SampleCore::Dkip(proc_) => proc_.warm_op(op),
-        }
-    }
-}
 
 /// The outcome of one sampled simulation ([`run_sampled`]).
 #[derive(Debug, Clone)]
@@ -210,7 +152,7 @@ pub fn run_sampled(
     sample: &SampleConfig,
 ) -> SampledRun {
     sample.validate().expect("invalid sampling rate");
-    let mut core = SampleCore::build(machine, mem_cfg);
+    let mut core = machine.build(mem_cfg);
     let mut estimator = SampleEstimator::new();
     let mut counted = CountedStream {
         inner: stream,
@@ -248,9 +190,10 @@ pub fn run_sampled(
             });
         }
         let exhausted = stats.committed - committed_base < detailed_target;
-        // Drain the in-flight tail so the next window's post-gap ops enter
-        // an empty pipeline.
-        committed_base = core.drain().committed;
+        // Drain the in-flight tail by running against an exhausted stream,
+        // so the next window's post-gap ops (whose sequence numbers jump
+        // past the skipped span) enter an empty pipeline.
+        committed_base = core.run(&mut std::iter::empty(), u64::MAX).committed;
         if exhausted {
             break; // finite stream ended inside the detailed portion
         }
@@ -262,14 +205,7 @@ pub fn run_sampled(
         // functionally warming the drained core's caches and predictor
         // with every skipped op; the next window runs on the warmed core.
         let want = sample.skip().min(budget - consumed);
-        let mut skipped = 0u64;
-        while skipped < want {
-            let Some(op) = counted.inner.next() else {
-                break;
-            };
-            core.warm_op(&op);
-            skipped += 1;
-        }
+        let skipped = core.fast_forward(counted.inner, want);
         fast_forwarded += skipped;
         if skipped < want {
             break; // finite stream exhausted inside the gap
