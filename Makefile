@@ -44,9 +44,16 @@ lint:
 ## counts; skip_equivalence additionally runs every suite with the
 ## event-driven clock on and off (DKIP_NO_SKIP) and requires bit-identical
 ## statistics.
+## The last step re-runs golden_stats with DKIP_SAMPLE and DKIP_METRICS
+## exported: the library reads neither, so the snapshots must still match
+## and no metrics file may appear.
 golden:
 	DKIP_THREADS=1 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend --test perf_invariance --test skip_equivalence
 	DKIP_THREADS=8 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend
+	dir=$$(mktemp -d) && \
+	DKIP_SAMPLE=1000:100:100 DKIP_METRICS=$$dir/m.csv:500 cargo test -q -p dkip --test golden_stats && \
+	{ test -z "$$(ls -A $$dir)" || { echo "ambient DKIP_METRICS wrote files:"; ls $$dir; exit 1; }; } && \
+	rmdir $$dir
 
 ## Regenerate the golden snapshots after an *intended* behavioural change,
 ## then review `git diff tests/golden/`.
@@ -112,9 +119,7 @@ trace-smoke: build
 ##     otherwise) and emit byte-identical output (cmp);
 ##  2. same contract for one figure binary (fig09);
 ##  3. a salt perturbation (DKIP_CACHE_SALT) and a budget perturbation must
-##     both miss the populated store (expect=cold);
-##  4. dkip-sim serve must answer a repeated sweep query from the cache
-##     (hits>0, misses=0 on the repeat) with byte-identical bodies.
+##     both miss the populated store (expect=cold).
 cache-check: build
 	rm -rf $(CACHE_CHECK_DIR) && mkdir -p $(CACHE_CHECK_DIR)
 	./target/release/dkip-sim sweep all cache=$(CACHE_CHECK_DIR)/store expect=cold \
@@ -131,26 +136,13 @@ cache-check: build
 		cache=$(CACHE_CHECK_DIR)/store expect=cold > /dev/null
 	./target/release/dkip-sim sweep kilo budget=3999 \
 		cache=$(CACHE_CHECK_DIR)/store expect=cold > /dev/null
-	./target/release/dkip-sim serve socket=$(CACHE_CHECK_DIR)/serve.sock \
-		cache=$(CACHE_CHECK_DIR)/store & \
-	SERVE_PID=$$!; \
-	for i in $$(seq 1 50); do [ -S $(CACHE_CHECK_DIR)/serve.sock ] && break; sleep 0.1; done; \
-	./target/release/dkip-sim query socket=$(CACHE_CHECK_DIR)/serve.sock suite all \
-		> $(CACHE_CHECK_DIR)/query1.txt 2> $(CACHE_CHECK_DIR)/query1.status; \
-	./target/release/dkip-sim query socket=$(CACHE_CHECK_DIR)/serve.sock suite all \
-		> $(CACHE_CHECK_DIR)/query2.txt 2> $(CACHE_CHECK_DIR)/query2.status; \
-	kill $$SERVE_PID; \
-	grep -q " misses=0" $(CACHE_CHECK_DIR)/query2.status || \
-		{ echo "serve recomputed jobs on a repeated query:"; cat $(CACHE_CHECK_DIR)/query2.status; exit 1; }
-	cmp $(CACHE_CHECK_DIR)/query1.txt $(CACHE_CHECK_DIR)/query2.txt
-	cmp $(CACHE_CHECK_DIR)/query1.txt $(CACHE_CHECK_DIR)/sweep-cold.txt
-	@echo "cache-check: warm runs recompute nothing and are byte-identical; perturbations miss; serve answers from cache"
+	@echo "cache-check: warm runs recompute nothing and are byte-identical; perturbations miss"
 
 ## Chaos campaigns, mirrored by the CI chaos-check job. Fault points are
 ## armed per process via DKIP_FAULTS=<point>:<rate>:<seed> (see
 ## crates/sim/src/chaos.rs), so each CLI invocation below is one sealed
 ## campaign. The gates:
-##  1. the chaos/service/store integration suites in release mode;
+##  1. the chaos/store integration suites in release mode;
 ##  2. injected job panics: the sweep survives, records the failures,
 ##     exits 1 with a summary — and a disarmed re-run over the same store
 ##     heals to a fully green, fully warm, byte-identical sweep;
@@ -163,7 +155,7 @@ cache-check: build
 ##     them: golden snapshots and the fuzz-corpus replay stay green.
 chaos-check: build
 	rm -rf $(CHAOS_CHECK_DIR) && mkdir -p $(CHAOS_CHECK_DIR)
-	cargo test -q --release -p dkip --test chaos --test service_socket --test store
+	cargo test -q --release -p dkip --test chaos --test store
 	./target/release/dkip-sim sweep kilo cache=$(CHAOS_CHECK_DIR)/ref expect=cold \
 		> $(CHAOS_CHECK_DIR)/ref.txt
 	DKIP_FAULTS=job.panic:first2:7 ./target/release/dkip-sim sweep kilo retries=0 \

@@ -14,9 +14,7 @@
 //! ```
 
 use dkip_bench::TimeseriesArgs;
-use dkip_model::config::{
-    BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig, SampleConfig,
-};
+use dkip_model::config::{BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig};
 use dkip_model::Telemetry;
 use dkip_sim::experiments::{RISCV_BUDGET, SEED};
 use dkip_sim::Machine;
@@ -25,10 +23,6 @@ fn main() {
     let args = TimeseriesArgs::from_env();
     if args.metrics.is_none() && args.trace.is_none() {
         eprintln!("nothing to record: pass metrics=PATH:INTERVAL and/or trace=PATH[:OPS]");
-        std::process::exit(2);
-    }
-    if SampleConfig::from_env().is_some() {
-        eprintln!("telemetry requires exact simulation: unset DKIP_SAMPLE");
         std::process::exit(2);
     }
     let machine = match args.family.as_str() {

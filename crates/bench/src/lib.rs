@@ -15,11 +15,10 @@
 //!   `threads=N` to fix the sweep-runner worker-pool size (default: the
 //!   `DKIP_THREADS` environment variable, then the host's available
 //!   parallelism), `sample=P:U:W` to regenerate the figure under
-//!   sampled simulation at that `period:warmup:window` rate (default: the
-//!   `DKIP_SAMPLE` environment variable, then exact simulation),
-//!   `metrics=PATH:INTERVAL` to collect an interval-metrics time series
-//!   per job alongside the figure (default: the `DKIP_METRICS` environment
-//!   variable, then no telemetry), `cache=DIR` to serve/populate the
+//!   sampled simulation at that `period:warmup:window` rate (default:
+//!   exact simulation), `metrics=PATH:INTERVAL` to collect an
+//!   interval-metrics time series per job alongside the figure (default:
+//!   no telemetry), `cache=DIR` to serve/populate the
 //!   content-addressed result store at that directory (default: the
 //!   `DKIP_CACHE` environment variable, then no caching), and
 //!   `expect=cold|warm` to assert the run's cache behaviour (exit 1 when a
@@ -42,7 +41,7 @@
 
 pub mod throughput;
 
-use dkip_model::{MetricsConfig, SampleConfig, TraceConfig, METRICS_ENV, SAMPLE_ENV};
+use dkip_model::{MetricsConfig, SampleConfig, TraceConfig};
 use dkip_sim::{ResultStore, SweepRunner, Workload};
 use dkip_trace::{Benchmark, Suite};
 
@@ -62,13 +61,13 @@ pub struct FigureArgs {
     /// Explicit worker-pool size (`threads=N`); `None` defers to
     /// `DKIP_THREADS` / the host parallelism via [`SweepRunner::from_env`].
     pub threads: Option<usize>,
-    /// Explicit sampled-simulation rate (`sample=P:U:W`); `None` defers to
-    /// the `DKIP_SAMPLE` environment variable (unset: exact simulation).
+    /// Sampled-simulation rate (`sample=P:U:W`); `None` means exact
+    /// simulation. [`FigureArgs::runner`] applies it to every job.
     pub sample: Option<SampleConfig>,
-    /// Explicit interval-metrics collection (`metrics=<path>:<interval>`);
-    /// `None` defers to the `DKIP_METRICS` environment variable (unset: no
-    /// telemetry). Every job of the sweep writes its own time series to the
-    /// given path with a per-job tag inserted before the extension.
+    /// Interval-metrics collection (`metrics=<path>:<interval>`); `None`
+    /// means no telemetry. [`FigureArgs::runner`] applies it to every job,
+    /// and each job writes its own time series to the given path with a
+    /// per-job tag inserted before the extension.
     pub metrics: Option<MetricsConfig>,
     /// Explicit result-store directory (`cache=DIR`); `None` defers to the
     /// `DKIP_CACHE` environment variable (unset: no caching). With a store
@@ -93,27 +92,12 @@ pub enum CacheExpectation {
 
 impl FigureArgs {
     /// Parses `[budget] [full] [threads=N] [sample=P:U:W]
-    /// [metrics=PATH:INTERVAL]` from `std::env::args`, exiting with status 2
-    /// on a malformed argument.
-    ///
-    /// An explicit `sample=` rate is published through the `DKIP_SAMPLE`
-    /// environment variable, which every subsequently built
-    /// [`dkip_sim::Job`] reads — so the whole figure sweep runs sampled
-    /// without the drivers threading the rate through. An explicit
-    /// `metrics=` configuration is published through `DKIP_METRICS` the
-    /// same way.
+    /// [metrics=PATH:INTERVAL] [cache=DIR] [expect=cold|warm]` from
+    /// `std::env::args`, exiting with status 2 on a malformed argument.
     #[must_use]
     pub fn from_env() -> Self {
         match Self::parse(std::env::args().skip(1)) {
-            Ok(args) => {
-                if let Some(rate) = args.sample {
-                    std::env::set_var(SAMPLE_ENV, rate.to_string());
-                }
-                if let Some(metrics) = &args.metrics {
-                    std::env::set_var(METRICS_ENV, metrics.to_string());
-                }
-                args
-            }
+            Ok(args) => args,
             Err(message) => {
                 eprintln!("{message}");
                 std::process::exit(2);
@@ -233,7 +217,10 @@ impl FigureArgs {
 
     /// The sweep runner selected by the command line / environment, with
     /// the result store attached: an explicit `cache=DIR` wins over the
-    /// `DKIP_CACHE` environment variable; neither means no caching.
+    /// `DKIP_CACHE` environment variable; neither means no caching. The
+    /// runner carries the `sample=` rate and `metrics=` configuration, so
+    /// every job of every sweep the figure runs through it is sampled or
+    /// probed without the drivers threading either through.
     ///
     /// # Panics
     ///
@@ -242,10 +229,16 @@ impl FigureArgs {
     /// must not be dropped silently); panics when `DKIP_CACHE` is invalid.
     #[must_use]
     pub fn runner(&self) -> SweepRunner {
-        let runner = match self.threads {
+        let mut runner = match self.threads {
             Some(n) => SweepRunner::new(n).with_store_opt(ResultStore::from_env()),
             None => SweepRunner::from_env(),
         };
+        if let Some(rate) = self.sample {
+            runner = runner.with_sample(rate);
+        }
+        if let Some(metrics) = &self.metrics {
+            runner = runner.with_metrics(metrics.clone());
+        }
         match &self.cache {
             None => runner,
             Some(dir) => match ResultStore::open(dir) {
@@ -544,6 +537,52 @@ mod tests {
                 || std::env::var("DKIP_CACHE").is_ok()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sample_and_metrics_reach_every_job_through_the_runner() {
+        use dkip_model::config::{DkipConfig, MemoryHierarchyConfig};
+        use dkip_sim::{Job, Machine};
+        let ambient = || {
+            (
+                std::env::var_os("DKIP_SAMPLE"),
+                std::env::var_os("DKIP_METRICS"),
+            )
+        };
+        let before = ambient();
+        let job = Job::new(
+            "fig",
+            Machine::Dkip(DkipConfig::paper_default()),
+            MemoryHierarchyConfig::mem_400(),
+            Benchmark::Gcc,
+            30_000,
+        );
+        let jobs = std::slice::from_ref(&job);
+
+        let sampled = parse(&["sample=10000:1000:1000", "threads=1"])
+            .unwrap()
+            .runner()
+            .run(jobs);
+        assert_eq!(sampled[0].sample, Some(SampleConfig::default_rate()));
+
+        let dir = std::env::temp_dir().join(format!("dkip-figargs-probe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let probed = parse(&[&format!("metrics={}/m.csv:500", dir.display()), "threads=1"])
+            .unwrap()
+            .runner()
+            .run(jobs);
+        assert_eq!(probed[0].sample, None, "metrics= alone stays exact");
+        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(files.len(), 1, "the probed job writes its metrics file");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert!(job.sample.is_none() && job.metrics.is_none());
+        assert_eq!(
+            ambient(),
+            before,
+            "nothing is published via the environment"
+        );
     }
 
     #[test]

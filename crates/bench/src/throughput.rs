@@ -239,12 +239,10 @@ impl ThroughputEntry {
 /// RISC-V kernels' default dynamic lengths are shorter than one sampling
 /// period, so a sampled row would degenerate to an exact one).
 ///
-/// Exact rows are forced exact regardless of the `DKIP_SAMPLE` environment
-/// variable: the committed `ci/perf_baseline.json` geomeans pin the exact
-/// simulator. Every row is likewise forced unprobed regardless of
-/// `DKIP_METRICS`: the harness times the disabled-telemetry hot path by
-/// contract (that is what the `telemetry_overhead=` gate certifies), and an
-/// ambient metrics knob must not silently contaminate the timing.
+/// Exact rows are exact: the committed `ci/perf_baseline.json` geomeans pin
+/// the exact simulator. Every row is unprobed: the harness times the
+/// disabled-telemetry hot path by contract (that is what the
+/// `telemetry_overhead=` gate certifies).
 #[must_use]
 pub fn perf_jobs(budget: u64) -> Vec<Job> {
     let mem = MemoryHierarchyConfig::mem_400();
@@ -262,17 +260,13 @@ pub fn perf_jobs(budget: u64) -> Vec<Job> {
     let mut jobs = Vec::new();
     for machine in &machines {
         for workload in &workloads {
-            jobs.push(
-                Job::new(
-                    format!("{}/{}", machine.family(), workload.name()),
-                    machine.clone(),
-                    mem.clone(),
-                    *workload,
-                    budget,
-                )
-                .exact()
-                .unprobed(),
-            );
+            jobs.push(Job::new(
+                format!("{}/{}", machine.family(), workload.name()),
+                machine.clone(),
+                mem.clone(),
+                *workload,
+                budget,
+            ));
         }
     }
     let rate = SampleConfig::parse(PERF_SAMPLE_RATE).expect("valid perf sampling rate");
@@ -289,8 +283,7 @@ pub fn perf_jobs(budget: u64) -> Vec<Job> {
                 workload,
                 budget,
             )
-            .with_sample(rate)
-            .unprobed(),
+            .with_sample(rate),
         );
     }
     jobs
@@ -737,17 +730,6 @@ impl PerfArgs {
 /// baseline / floor checks. Returns the process exit code.
 #[must_use]
 pub fn run(args: &PerfArgs) -> i32 {
-    // The overhead gate certifies the *disabled-probe* hot path. The jobs
-    // are forced unprobed either way, but a set DKIP_METRICS signals the
-    // caller expected telemetry from this run — refuse rather than measure
-    // something other than what they asked for.
-    if args.telemetry_overhead.is_some() && std::env::var_os(dkip_model::METRICS_ENV).is_some() {
-        eprintln!(
-            "telemetry_overhead= times the disabled-probe hot path: unset {}",
-            dkip_model::METRICS_ENV
-        );
-        return 2;
-    }
     let jobs = perf_jobs(args.budget);
     println!(
         "measuring {} points (budget={}, samples={}) ...",

@@ -39,13 +39,6 @@ pub fn event_clock_enabled() -> bool {
     )
 }
 
-/// Environment variable selecting sampled simulation, read by
-/// `Job::new` in the experiment harness (and therefore by every figure
-/// binary). The format is `period:warmup:window` in instructions, e.g.
-/// `DKIP_SAMPLE=10000:1000:1000`; unset or empty means exact simulation.
-/// See [`SampleConfig::parse`].
-pub const SAMPLE_ENV: &str = "DKIP_SAMPLE";
-
 /// Parameters of the sampled-simulation mode (SMARTS-style systematic
 /// sampling): the stream is divided into fixed-length periods; in each
 /// period the simulator functionally fast-forwards, then runs `warmup`
@@ -88,8 +81,8 @@ impl SampleConfig {
         (self.warmup + self.window) as f64 / self.period as f64
     }
 
-    /// Parses the `period:warmup:window` knob syntax used by `DKIP_SAMPLE`
-    /// and the figure binaries' `sample=` argument.
+    /// Parses the `period:warmup:window` syntax of the figure binaries'
+    /// `sample=` argument.
     ///
     /// # Errors
     ///
@@ -118,23 +111,6 @@ impl SampleConfig {
         }
         cfg.validate()?;
         Ok(cfg)
-    }
-
-    /// Reads [`SAMPLE_ENV`] (`DKIP_SAMPLE`). Unset or empty means exact
-    /// simulation (`None`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed value — a silently ignored typo would quietly
-    /// report exact-mode numbers as sampled ones (or vice versa).
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        match std::env::var(SAMPLE_ENV) {
-            Ok(v) if !v.trim().is_empty() => {
-                Some(Self::parse(&v).unwrap_or_else(|e| panic!("invalid {SAMPLE_ENV}={v:?}: {e}")))
-            }
-            _ => None,
-        }
     }
 
     /// Validates the sampling parameters.

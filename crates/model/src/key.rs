@@ -1,7 +1,7 @@
 //! Stable cache-key derivation for simulation configurations.
 //!
-//! The sweep service's result store (`dkip_sim::store`) is content-addressed:
-//! a simulation point is identified by a digest of *everything that
+//! The sweep result store (`dkip_sim::store`) is content-addressed: a
+//! simulation point is identified by a digest of *everything that
 //! determines its statistics* — the machine configuration, the memory
 //! hierarchy, the workload, the seed, the budget and the sample/clock knobs —
 //! plus a code-version salt. This module provides the serialisation half of

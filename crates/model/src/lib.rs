@@ -51,7 +51,6 @@ pub use collections::{
 pub use config::{
     event_clock_enabled, BaselineConfig, CacheProcessorConfig, DkipConfig, KiloConfig,
     MemoryHierarchyConfig, MemoryProcessorConfig, SampleConfig, SchedPolicy, NO_SKIP_ENV,
-    SAMPLE_ENV,
 };
 pub use error::ConfigError;
 pub use instr::{BranchInfo, BranchKind, MicroOp};
@@ -59,4 +58,4 @@ pub use key::{fnv1a_128, key_digest, KeyWriter, StableKey};
 pub use op::{FuPool, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, FP_ARCH_REGS, INT_ARCH_REGS, TOTAL_ARCH_REGS};
 pub use stats::{Histogram, IpcEstimate, SampleEstimator, SimStats, WindowSample};
-pub use telemetry::{MetricsConfig, MetricsFrame, Stage, Telemetry, TraceConfig, METRICS_ENV};
+pub use telemetry::{MetricsConfig, MetricsFrame, Stage, Telemetry, TraceConfig};

@@ -16,7 +16,7 @@
 //!   CSV (default) or JSON-lines (`.json`/`.jsonl` paths), with fixed
 //!   float precision, so repeated runs produce byte-identical files.
 //!   Configured with [`MetricsConfig`] (`metrics=<path>:<interval>` on the
-//!   figure binaries, or the [`METRICS_ENV`] environment variable).
+//!   figure binaries).
 //! * **Pipeline trace** — per-µop stage timestamps (fetch, dispatch,
 //!   issue, complete, commit, plus the D-KIP's CP→MP handoff) emitted in
 //!   the gem5 O3PipeView text format, which the
@@ -51,11 +51,6 @@ use crate::instr::MicroOp;
 use crate::op::OpClass;
 use std::fmt::{self, Write as _};
 use std::path::PathBuf;
-
-/// Environment variable carrying a [`MetricsConfig`] (`<path>:<interval>`)
-/// picked up by every `dkip_sim::Job`. Unset or empty means no interval
-/// metrics. See [`MetricsConfig::from_env`].
-pub const METRICS_ENV: &str = "DKIP_METRICS";
 
 /// Default per-trace µop window budget when `trace=<path>` names no
 /// explicit `:<ops>` bound.
@@ -95,8 +90,8 @@ pub struct MetricsConfig {
 }
 
 impl MetricsConfig {
-    /// Parses the `<path>:<interval>` knob syntax used by `DKIP_METRICS`
-    /// and the figure binaries' `metrics=` argument.
+    /// Parses the `<path>:<interval>` syntax of the figure binaries'
+    /// `metrics=` argument.
     ///
     /// # Errors
     ///
@@ -129,24 +124,6 @@ impl MetricsConfig {
             path: path.to_owned(),
             interval,
         })
-    }
-
-    /// Reads [`METRICS_ENV`] (`DKIP_METRICS`). Unset or empty means no
-    /// interval metrics (`None`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed value — a silently ignored typo would quietly
-    /// produce a run with no metrics file where one was asked for, exactly
-    /// the failure mode `DKIP_SAMPLE` and `DKIP_THREADS` refuse.
-    #[must_use]
-    pub fn from_env() -> Option<Self> {
-        match std::env::var(METRICS_ENV) {
-            Ok(v) if !v.trim().is_empty() => {
-                Some(Self::parse(&v).unwrap_or_else(|e| panic!("invalid {METRICS_ENV}={v:?}: {e}")))
-            }
-            _ => None,
-        }
     }
 
     /// Derives a per-job variant of this configuration by inserting a

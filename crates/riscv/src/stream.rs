@@ -56,29 +56,6 @@ impl RiscvStream {
     pub fn emulator(&self) -> &Emulator {
         &self.emu
     }
-
-    /// Functionally fast-forwards up to `n` instructions without cracking
-    /// them into micro-ops, returning how many were actually skipped (fewer
-    /// only if the kernel halts first).
-    ///
-    /// The emulator executes every skipped instruction architecturally, so
-    /// registers and memory are exactly as if the instructions had been
-    /// consumed through [`Iterator::next`]; only the micro-op construction
-    /// is elided. Sequence numbers stay dense across the gap: the first
-    /// micro-op after a fast-forward carries `seq` as if the skipped
-    /// instructions had been emitted. This is the sampled-simulation mode's
-    /// cheap path between detailed windows.
-    pub fn fast_forward(&mut self, n: u64) -> u64 {
-        let mut skipped = 0;
-        while skipped < n {
-            if self.emu.step().is_none() {
-                break;
-            }
-            skipped += 1;
-        }
-        self.seq += skipped;
-        skipped
-    }
 }
 
 fn arch(reg: Reg) -> ArchReg {
@@ -292,36 +269,6 @@ mod tests {
     fn the_last_op_is_the_halting_ecall() {
         let ops = stream(Kernel::Memcpy);
         assert_eq!(ops.last().unwrap().class, OpClass::Nop);
-    }
-
-    #[test]
-    fn fast_forward_is_equivalent_to_consuming_the_stream() {
-        // Skipping N instructions leaves the emulator (registers, memory,
-        // pc) and the remaining micro-op stream — including sequence
-        // numbers — exactly as if the N ops had been consumed normally.
-        let run = Kernel::Sieve.default_run();
-        let mut skipped = RiscvStream::new(&run);
-        let mut consumed = RiscvStream::new(&run);
-        let n = 5_000;
-        assert_eq!(skipped.fast_forward(n), n);
-        for _ in 0..n {
-            assert!(consumed.next().is_some());
-        }
-        assert_eq!(skipped.emulator().regs(), consumed.emulator().regs());
-        assert_eq!(skipped.emulator().pc(), consumed.emulator().pc());
-        let rest_a: Vec<_> = skipped.collect();
-        let rest_b: Vec<_> = consumed.collect();
-        assert_eq!(rest_a, rest_b, "post-skip streams must be bit-identical");
-    }
-
-    #[test]
-    fn fast_forward_stops_at_the_halt_and_reports_the_shortfall() {
-        let prog = crate::asm::assemble("addi x1, x0, 7\necall", crate::emu::CODE_BASE).unwrap();
-        let mut s = RiscvStream::from_emulator(crate::emu::Emulator::new(&prog));
-        assert_eq!(s.fast_forward(1_000), 2, "program retires only two instrs");
-        assert!(s.emulator().ran_to_completion());
-        assert!(s.next().is_none());
-        assert_eq!(s.fast_forward(10), 0, "exhaustion is sticky");
     }
 
     #[test]

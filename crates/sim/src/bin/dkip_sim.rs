@@ -1,6 +1,6 @@
-//! `dkip-sim` — the sweep service CLI.
+//! `dkip-sim` — run a golden sweep against the result store.
 //!
-//! Three subcommands around the content-addressed result store
+//! One subcommand around the content-addressed result store
 //! (`dkip_sim::store`):
 //!
 //! * `sweep <suite> [budget=N] [threads=N] [cache=DIR] [shard=I/N]
@@ -13,28 +13,15 @@
 //!   the completed work, which is checkpointed and cached. `expect=`
 //!   turns the run into an assertion: `cold` fails (exit 1) if anything
 //!   hit, `warm` fails if anything recomputed — CI's cache-check contract.
-//! * `serve socket=PATH | listen=ADDR [cache=DIR] [threads=N]
-//!   [deadline=MS]` — answer sweep/figure queries over a unix or TCP
-//!   socket (protocol and limits in `dkip_sim::service`), computing only
-//!   cache misses. `deadline=MS` overrides the per-request deadline
-//!   (`0` disables it); the server drains gracefully on the `shutdown`
-//!   verb.
-//! * `query socket=PATH | connect=ADDR <request words…>` — one-shot
-//!   client: sends a request line, prints the status line to stderr and
-//!   the body to stdout, exits non-zero on an `err` response.
 //!
 //! Malformed arguments exit 2 with a usage message, like the figure
 //! binaries' `threads=` contract.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::process::ExitCode;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use dkip_sim::runner::{results_to_kv, JobFailure};
-use dkip_sim::service::{run_server, ServeOptions, SweepService};
 use dkip_sim::store::{ResultStore, ShardSpec, SweepCheckpoint};
 use dkip_sim::suites::golden_suite_jobs;
 use dkip_sim::{Job, JobResult, SweepRunner};
@@ -42,8 +29,6 @@ use dkip_sim::{Job, JobResult, SweepRunner};
 const USAGE: &str = "usage: dkip-sim <subcommand>
   sweep <suite> [budget=N] [threads=N] [cache=DIR] [shard=I/N] [expect=cold|warm] [retries=N]
       suites: baseline | kilo | dkip | riscv | all
-  serve (socket=PATH | listen=ADDR) [cache=DIR] [threads=N] [deadline=MS]
-  query (socket=PATH | connect=ADDR) <request words...>
 environment: DKIP_CACHE (default store), DKIP_THREADS, DKIP_CACHE_SALT, DKIP_FAULTS";
 
 fn usage_error(message: &str) -> ExitCode {
@@ -55,27 +40,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("sweep") => cmd_sweep(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("query") => cmd_query(&args[1..]),
         Some(other) => usage_error(&format!("unknown subcommand {other:?}")),
         None => usage_error("missing subcommand"),
-    }
-}
-
-/// Shared `threads=` / `cache=` resolution: an explicit `cache=` wins over
-/// `DKIP_CACHE`; an explicit `threads=` still picks up the environment
-/// store, mirroring the figure binaries.
-fn build_runner(threads: Option<usize>, cache: Option<&str>) -> Result<SweepRunner, String> {
-    let runner = match threads {
-        Some(n) => SweepRunner::new(n).with_store_opt(ResultStore::from_env()),
-        None => SweepRunner::from_env(),
-    };
-    match cache {
-        None => Ok(runner),
-        Some(dir) => match ResultStore::open(dir) {
-            Ok(store) => Ok(runner.with_store(store)),
-            Err(e) => Err(format!("invalid cache={dir:?}: cannot open store: {e}")),
-        },
     }
 }
 
@@ -136,9 +102,20 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
         Ok(jobs) => jobs,
         Err(message) => return usage_error(&message),
     };
-    let runner = match build_runner(threads, cache.as_deref()) {
-        Ok(runner) => runner,
-        Err(message) => return usage_error(&message),
+    // An explicit `cache=` wins over `DKIP_CACHE`; an explicit `threads=`
+    // still picks up the environment store, mirroring the figure binaries.
+    let runner = match threads {
+        Some(n) => SweepRunner::new(n).with_store_opt(ResultStore::from_env()),
+        None => SweepRunner::from_env(),
+    };
+    let runner = match cache {
+        None => runner,
+        Some(dir) => match ResultStore::open(&dir) {
+            Ok(store) => runner.with_store(store),
+            Err(e) => {
+                return usage_error(&format!("invalid cache={dir:?}: cannot open store: {e}"))
+            }
+        },
     };
     if runner.store().is_none() {
         if expect.is_some() {
@@ -258,146 +235,5 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
         _ => ExitCode::SUCCESS,
-    }
-}
-
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut socket = None;
-    let mut listen = None;
-    let mut cache = None;
-    let mut threads = None;
-    let mut opts = ServeOptions::default();
-    for arg in args {
-        let Some((key, value)) = arg.split_once('=') else {
-            return usage_error(&format!("malformed serve argument {arg:?}"));
-        };
-        match key {
-            "socket" => socket = Some(value.to_owned()),
-            "listen" => listen = Some(value.to_owned()),
-            "cache" => {
-                if value.trim().is_empty() {
-                    return usage_error("invalid cache=: expected a directory");
-                }
-                cache = Some(value.trim().to_owned());
-            }
-            "threads" => match parse_positive(value, "threads") {
-                Ok(n) => threads = Some(n as usize),
-                Err(message) => return usage_error(&message),
-            },
-            "deadline" => match value.trim().parse::<u64>() {
-                Ok(0) => opts.deadline = None,
-                Ok(ms) => opts.deadline = Some(Duration::from_millis(ms)),
-                Err(_) => {
-                    return usage_error(&format!(
-                        "invalid deadline {value:?}: expected milliseconds (0 disables)"
-                    ))
-                }
-            },
-            _ => return usage_error(&format!("unknown serve argument {key}=")),
-        }
-    }
-    let runner = match build_runner(threads, cache.as_deref()) {
-        Ok(runner) => runner,
-        Err(message) => return usage_error(&message),
-    };
-    let service = SweepService::new(runner);
-    let served = match (socket, listen) {
-        (Some(path), None) => {
-            let _ = std::fs::remove_file(&path);
-            let listener = match UnixListener::bind(&path) {
-                Ok(listener) => listener,
-                Err(e) => return usage_error(&format!("cannot bind socket={path:?}: {e}")),
-            };
-            eprintln!("# dkip-sim serve: listening on unix socket {path}");
-            let served = run_server(&listener, service, &opts);
-            let _ = std::fs::remove_file(&path);
-            served
-        }
-        (None, Some(addr)) => {
-            let listener = match TcpListener::bind(&addr) {
-                Ok(listener) => listener,
-                Err(e) => return usage_error(&format!("cannot bind listen={addr:?}: {e}")),
-            };
-            eprintln!(
-                "# dkip-sim serve: listening on {}",
-                listener.local_addr().map_or(addr, |a| a.to_string())
-            );
-            run_server(&listener, service, &opts)
-        }
-        _ => return usage_error("serve requires exactly one of socket=PATH or listen=ADDR"),
-    };
-    match served {
-        Ok(()) => {
-            eprintln!("# dkip-sim serve: drained, shutting down");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: server failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn cmd_query(args: &[String]) -> ExitCode {
-    let Some(target) = args.first() else {
-        return usage_error("query requires socket=PATH or connect=ADDR");
-    };
-    let request = args[1..].join(" ");
-    if request.trim().is_empty() {
-        return usage_error("query requires a request (e.g. suite kilo budget=1000)");
-    }
-    let stream: Box<dyn ReadWrite> = match target.split_once('=') {
-        Some(("socket", path)) => match UnixStream::connect(path) {
-            Ok(stream) => Box::new(stream),
-            Err(e) => return usage_error(&format!("cannot connect to socket={path:?}: {e}")),
-        },
-        Some(("connect", addr)) => match TcpStream::connect(addr) {
-            Ok(stream) => Box::new(stream),
-            Err(e) => return usage_error(&format!("cannot connect to {addr:?}: {e}")),
-        },
-        _ => return usage_error(&format!("malformed query target {target:?}")),
-    };
-    run_query(stream, &request)
-}
-
-trait ReadWrite: Read + Write {}
-impl<T: Read + Write> ReadWrite for T {}
-
-/// Sends one request, streams the response: status to stderr, body to
-/// stdout, exit code from the status verb.
-fn run_query(mut stream: Box<dyn ReadWrite>, request: &str) -> ExitCode {
-    if let Err(e) = stream
-        .write_all(format!("{request}\n").as_bytes())
-        .and_then(|()| stream.flush())
-    {
-        eprintln!("error: cannot send request: {e}");
-        return ExitCode::FAILURE;
-    }
-    let mut reader = BufReader::new(stream);
-    let mut status = String::new();
-    if reader.read_line(&mut status).is_err() || status.is_empty() {
-        eprintln!("error: connection closed before a status line");
-        return ExitCode::FAILURE;
-    }
-    let status = status.trim_end();
-    eprintln!("{status}");
-    loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => {
-                eprintln!("error: connection closed before the '.' terminator");
-                return ExitCode::FAILURE;
-            }
-            Ok(_) => {}
-        }
-        if line.trim_end() == "." {
-            break;
-        }
-        print!("{line}");
-    }
-    if status.starts_with("ok") {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
     }
 }

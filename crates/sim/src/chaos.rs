@@ -3,9 +3,8 @@
 //! Production sweeps fail in boring, predictable ways — a disk fills up, a
 //! cache directory turns read-only, one job in ten thousand trips a panic —
 //! and the hardening that survives them (per-job panic isolation in
-//! [`crate::runner`], write retry/degrade in [`crate::store`], per-request
-//! isolation in [`crate::service`]) only stays honest if something
-//! exercises those paths continuously. This module is that something: a
+//! [`crate::runner`], write retry/degrade in [`crate::store`]) only stays
+//! honest if something exercises those paths continuously. This module is that something: a
 //! registry of **named fault points** that the robustness-critical code
 //! consults, armed from the `DKIP_FAULTS` environment variable (or
 //! in-process via [`arm`]) and *disarmed by default*.
@@ -18,8 +17,6 @@
 //! | `store.write`    | [`crate::store::ResultStore::insert`]      | the write attempt fails with an I/O error (ENOSPC-like) |
 //! | `metrics.write`  | [`crate::runner::Job::try_run`]            | the per-job metrics write fails      |
 //! | `job.panic`      | [`crate::runner::Job::try_run`]            | the job panics before simulating     |
-//! | `service.answer` | [`crate::service::SweepService::answer`]   | the request handler panics           |
-//! | `service.stall`  | [`crate::service::SweepService::answer`]   | the request sleeps past a short per-request deadline |
 //!
 //! # Arming grammar
 //!
@@ -86,21 +83,15 @@ pub enum FaultPoint {
     MetricsWrite,
     /// A sweep job: firing panics it before it simulates.
     JobPanic,
-    /// A service request: firing panics the handler mid-answer.
-    ServiceAnswer,
-    /// A service request: firing stalls the handler past a short deadline.
-    ServiceStall,
 }
 
 impl FaultPoint {
     /// Every fault point, in registry order.
-    pub const ALL: [FaultPoint; 6] = [
+    pub const ALL: [FaultPoint; 4] = [
         FaultPoint::StoreRead,
         FaultPoint::StoreWrite,
         FaultPoint::MetricsWrite,
         FaultPoint::JobPanic,
-        FaultPoint::ServiceAnswer,
-        FaultPoint::ServiceStall,
     ];
 
     /// The registry name used in `DKIP_FAULTS` specs.
@@ -111,8 +102,6 @@ impl FaultPoint {
             FaultPoint::StoreWrite => "store.write",
             FaultPoint::MetricsWrite => "metrics.write",
             FaultPoint::JobPanic => "job.panic",
-            FaultPoint::ServiceAnswer => "service.answer",
-            FaultPoint::ServiceStall => "service.stall",
         }
     }
 
@@ -314,8 +303,7 @@ pub fn disarm() {
 
 /// Renders a caught panic payload as a human-readable message — the
 /// `&str`/`String` payloads `panic!` produces, or a placeholder for
-/// anything else. Shared by the runner's per-job isolation and the
-/// service's per-request isolation.
+/// anything else. Used by the runner's per-job isolation.
 #[must_use]
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&'static str>() {

@@ -27,18 +27,14 @@
 //!   minimisers used by `tests/fuzz_differential.rs`,
 //! * [`sampled`] — the sampled-simulation mode: detailed windows on one
 //!   live engine separated by functionally warmed fast-forward, estimating
-//!   whole-run IPC with a confidence interval (opt-in per [`Job`] or via the
-//!   `DKIP_SAMPLE` environment variable; exact mode stays the golden
-//!   reference),
+//!   whole-run IPC with a confidence interval (opt-in per [`Job`] or per
+//!   [`SweepRunner`]; exact mode stays the golden reference),
 //! * [`store`] — the persistent content-addressed result store: every
 //!   cacheable [`Job`] derives a stable config key, and the runner serves
 //!   hits byte-identically instead of re-simulating (`DKIP_CACHE` or the
 //!   `cache=` knob selects the store directory),
-//! * [`service`] — the sweep service behind `dkip-sim serve`: a line
-//!   protocol answering suite/job queries from the store and computing
-//!   only the misses,
 //! * [`chaos`] — deterministic fault injection (`DKIP_FAULTS`): named
-//!   fault points on the store/runner/service I/O paths that chaos
+//!   fault points on the store and runner I/O paths that chaos
 //!   campaigns arm to exercise the failure handling, and that cost one
 //!   disarmed branch otherwise,
 //! * [`golden`] — golden-snapshot comparison for the regression tests under
@@ -64,7 +60,6 @@ pub mod golden;
 pub mod report;
 pub mod runner;
 pub mod sampled;
-pub mod service;
 pub mod store;
 pub mod suites;
 pub mod workload;

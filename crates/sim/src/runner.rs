@@ -24,6 +24,7 @@
 //! [`SweepReport`] instead of aborting the whole sweep (see the
 //! [`crate::chaos`] fault points that exercise this continuously).
 
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -174,21 +175,21 @@ pub struct Job {
     /// Trace-generator seed (ignored by execution-driven workloads).
     pub seed: u64,
     /// Sampled-simulation rate, or `None` for exact (cycle-by-cycle)
-    /// simulation. Defaults from the `DKIP_SAMPLE` environment variable in
-    /// [`Job::new`]; exact mode is the golden reference and stays the
-    /// default when the variable is unset.
+    /// simulation, the golden reference and the [`Job::new`] default. A
+    /// runner carrying a rate ([`SweepRunner::with_sample`]) overrides it.
     pub sample: Option<SampleConfig>,
     /// Interval-metrics collection, or `None` for an unprobed run (the
-    /// golden reference path). Defaults from the `DKIP_METRICS` environment
-    /// variable in [`Job::new`]. Each job writes to its own file — the
-    /// configured path with a sanitised job tag inserted before the
-    /// extension ([`MetricsConfig::for_job`]) — so sweep outputs never
-    /// collide across workers.
+    /// golden reference path and the [`Job::new`] default). A runner
+    /// carrying a configuration ([`SweepRunner::with_metrics`]) overrides
+    /// it. Each job writes to its own file — the configured path with a
+    /// sanitised job tag inserted before the extension
+    /// ([`MetricsConfig::for_job`]) — so sweep outputs never collide across
+    /// workers.
     pub metrics: Option<MetricsConfig>,
 }
 
 impl Job {
-    /// Creates a job with the default experiment seed
+    /// Creates an exact, unprobed job with the default experiment seed
     /// ([`crate::experiments::SEED`]). `workload` accepts a
     /// [`dkip_trace::Benchmark`], a [`dkip_riscv::Kernel`] or a
     /// [`dkip_riscv::KernelRun`] as well as a [`Workload`].
@@ -207,8 +208,8 @@ impl Job {
             workload: workload.into(),
             budget,
             seed: crate::experiments::SEED,
-            sample: SampleConfig::from_env(),
-            metrics: MetricsConfig::from_env(),
+            sample: None,
+            metrics: None,
         }
     }
 
@@ -220,7 +221,7 @@ impl Job {
     }
 
     /// Returns a copy running under sampled simulation at the given rate
-    /// (see [`crate::sampled`]), overriding the `DKIP_SAMPLE` default.
+    /// (see [`crate::sampled`]).
     #[must_use]
     pub fn with_sample(mut self, sample: SampleConfig) -> Self {
         self.sample = Some(sample);
@@ -234,8 +235,7 @@ impl Job {
         self
     }
 
-    /// Returns a copy with interval-metrics collection enabled, overriding
-    /// the `DKIP_METRICS` default.
+    /// Returns a copy with interval-metrics collection enabled.
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = Some(metrics);
@@ -387,7 +387,7 @@ impl Job {
         let start = Instant::now();
         assert!(
             self.sample.is_none() || self.metrics.is_none(),
-            "interval metrics require exact simulation: unset DKIP_SAMPLE or DKIP_METRICS"
+            "interval metrics require exact simulation: a job cannot be both sampled and probed"
         );
         if chaos::should_fire(FaultPoint::JobPanic) {
             panic!(
@@ -472,7 +472,7 @@ pub struct JobFailure {
 }
 
 impl JobFailure {
-    /// One-line rendering for failure summaries and `err` responses.
+    /// One-line rendering for failure summaries.
     #[must_use]
     pub fn render(&self) -> String {
         format!(
@@ -648,10 +648,18 @@ pub type JobObserver<'a> = &'a (dyn Fn(usize, &JobResult) + Sync);
 /// each cacheable job is looked up before simulating and written back on a
 /// miss; because stored entries are verified byte-for-byte on load, a hit
 /// is byte-identical to a recompute, preserving the thread-count invariant.
+///
+/// A runner may also carry a sampling rate ([`SweepRunner::with_sample`])
+/// and an interval-metrics configuration ([`SweepRunner::with_metrics`]).
+/// Each one it carries replaces the job's own setting before the job is
+/// keyed and run, so a figure binary's `sample=`/`metrics=` reaches every
+/// job of its sweeps; a runner carrying neither runs each job as built.
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
     threads: usize,
     store: Option<ResultStore>,
+    sample: Option<SampleConfig>,
+    metrics: Option<MetricsConfig>,
 }
 
 impl SweepRunner {
@@ -662,6 +670,8 @@ impl SweepRunner {
         SweepRunner {
             threads: threads.max(1),
             store: None,
+            sample: None,
+            metrics: None,
         }
     }
 
@@ -713,17 +723,10 @@ impl SweepRunner {
     }
 
     /// Returns a copy with the given (optional) store attached — `None`
-    /// detaches, like [`SweepRunner::without_store`].
+    /// detaches.
     #[must_use]
     pub fn with_store_opt(mut self, store: Option<ResultStore>) -> Self {
         self.store = store;
-        self
-    }
-
-    /// Returns a copy with no result store (every job simulates).
-    #[must_use]
-    pub fn without_store(mut self) -> Self {
-        self.store = None;
         self
     }
 
@@ -731,6 +734,38 @@ impl SweepRunner {
     #[must_use]
     pub fn store(&self) -> Option<&ResultStore> {
         self.store.as_ref()
+    }
+
+    /// Returns a copy that runs every job sampled at `sample`, whatever
+    /// rate (or exact mode) the job itself asks for.
+    #[must_use]
+    pub fn with_sample(mut self, sample: SampleConfig) -> Self {
+        self.sample = Some(sample);
+        self
+    }
+
+    /// Returns a copy that collects interval metrics with `metrics` on
+    /// every job, whether or not the job itself is probed.
+    #[must_use]
+    pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
+        self.metrics = Some(metrics);
+        self
+    }
+
+    /// `job` with this runner's sampling rate and metrics configuration
+    /// applied; borrowed unchanged when the runner carries neither.
+    fn configure<'j>(&self, job: &'j Job) -> Cow<'j, Job> {
+        if self.sample.is_none() && self.metrics.is_none() {
+            return Cow::Borrowed(job);
+        }
+        let mut job = job.clone();
+        if let Some(sample) = self.sample {
+            job.sample = Some(sample);
+        }
+        if let Some(metrics) = &self.metrics {
+            job.metrics = Some(metrics.clone());
+        }
+        Cow::Owned(job)
     }
 
     /// Runs every job and returns the results in job order.
@@ -780,6 +815,7 @@ impl SweepRunner {
         let uncacheable = AtomicU64::new(0);
         let failures: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
         let execute = |idx: usize, job: &Job| -> Option<JobResult> {
+            let job = &*self.configure(job);
             let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<JobResult, String> {
                 match (&self.store, job.cacheable()) {
                     (Some(store), true) => {
@@ -872,12 +908,6 @@ impl SweepRunner {
     #[must_use]
     pub fn run_stats(&self, jobs: &[Job]) -> Vec<SimStats> {
         self.run(jobs).into_iter().map(|r| r.stats).collect()
-    }
-}
-
-impl Default for SweepRunner {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 
@@ -1080,6 +1110,33 @@ mod tests {
             "a cache hit must be byte-identical to a recompute"
         );
         assert!(warm.results.iter().all(|r| r.wall == Duration::ZERO));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_runner_rate_replaces_each_jobs_own_before_keying() {
+        let dir = std::env::temp_dir().join(format!("dkip-runner-rate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = crate::store::ResultStore::open(&dir).unwrap();
+        let rate = SampleConfig::default_rate();
+        let jobs = smoke_jobs();
+        let exact = SweepRunner::new(2)
+            .with_store(store.clone())
+            .run_report(&jobs);
+        assert_eq!(exact.misses, 3);
+        let sampled = SweepRunner::new(2)
+            .with_store(store)
+            .with_sample(rate)
+            .run_report(&jobs);
+        assert_eq!(
+            sampled.hits, 0,
+            "a sampled job must not hit the exact entry"
+        );
+        // A runner carrying nothing runs each job as built.
+        let own: Vec<Job> = jobs.iter().map(|j| j.clone().with_sample(rate)).collect();
+        let reference = SweepRunner::new(2).run(&own);
+        assert!(reference.iter().all(|r| r.sample == Some(rate)));
+        assert_eq!(results_to_kv(&sampled.results), results_to_kv(&reference));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

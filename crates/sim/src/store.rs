@@ -6,8 +6,7 @@
 //! under a key derived from the *complete* job configuration (machine +
 //! memory hierarchy + workload + seed + budget + sample/clock knobs, see
 //! [`crate::Job::key_text`]) salted with a code-version stamp, so figure
-//! binaries, golden sweeps and the `dkip-sim serve` service only compute
-//! what changed.
+//! binaries and `dkip-sim sweep` only compute what changed.
 //!
 //! # Key derivation and invalidation contract
 //!
@@ -131,7 +130,7 @@ impl ResultStore {
     }
 
     /// Opens the store named by the `DKIP_CACHE` environment variable.
-    /// Unset or empty/whitespace means "no store" (like `DKIP_SAMPLE`).
+    /// Unset or empty/whitespace means "no store".
     ///
     /// # Panics
     ///

@@ -171,11 +171,11 @@ pub fn golden_suites() -> Vec<(&'static str, Vec<Job>)> {
     ]
 }
 
-/// Resolves a sweep name as used by `dkip-sim sweep` and the serve
-/// protocol: one of the golden suites (`baseline`, `kilo`, `dkip`,
-/// `riscv`) or `all` (every suite concatenated in snapshot order). An
-/// optional `budget` overrides every job's instruction budget, so clients
-/// can scale the same matrix up or down without a new job list.
+/// Resolves a sweep name as used by `dkip-sim sweep`: one of the golden
+/// suites (`baseline`, `kilo`, `dkip`, `riscv`) or `all` (every suite
+/// concatenated in snapshot order). An optional `budget` overrides every
+/// job's instruction budget, so a sweep can scale the same matrix up or
+/// down without a new job list.
 ///
 /// # Errors
 ///

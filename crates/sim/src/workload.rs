@@ -135,25 +135,6 @@ pub enum WorkloadStream {
     Riscv(RiscvStream),
 }
 
-impl WorkloadStream {
-    /// Functionally fast-forwards up to `n` instructions without building
-    /// micro-ops, returning how many were actually skipped (fewer only when
-    /// a finite RISC-V kernel halts first).
-    ///
-    /// Both sources keep their position bit-identical to consuming the ops
-    /// through [`Iterator::next`] — the emulator executes the skipped
-    /// instructions architecturally, the synthetic generator advances its
-    /// template walk and RNG — so the ops emitted after the gap (sequence
-    /// numbers included) match an uninterrupted stream. This is the cheap
-    /// inter-window path of the sampled-simulation mode.
-    pub fn fast_forward(&mut self, n: u64) -> u64 {
-        match self {
-            WorkloadStream::Spec(generator) => generator.fast_forward(n),
-            WorkloadStream::Riscv(stream) => stream.fast_forward(n),
-        }
-    }
-}
-
 impl Iterator for WorkloadStream {
     type Item = MicroOp;
 

@@ -123,11 +123,10 @@ impl TraceGenerator {
     /// Functionally fast-forwards `n` micro-ops, returning `n` (the
     /// synthetic stream never ends).
     ///
-    /// This is the generator's cheap mode for sampled simulation: the
-    /// template walk, RNG draws, stream cursors and chain states advance
-    /// exactly as if the ops had been consumed, so the ops emitted after a
-    /// skip — sequence numbers included — are bit-identical to the ops an
-    /// uninterrupted generator would produce at the same positions.
+    /// The template walk, RNG draws, stream cursors and chain states
+    /// advance exactly as if the ops had been consumed, so the ops emitted
+    /// after a skip — sequence numbers included — are bit-identical to the
+    /// ops an uninterrupted generator would produce at the same positions.
     ///
     /// (Named `fast_forward` rather than `skip` so it cannot collide with
     /// the by-value [`Iterator::skip`] adapter during method resolution.)

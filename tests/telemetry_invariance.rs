@@ -1,8 +1,9 @@
 //! Telemetry invariance contract: attaching the probe sink must be
 //! *observationally pure*. Every pinned golden sweep — the three
 //! Spec-family suites and the 18-job RISC-V matrix — is run with interval
-//! metrics off and on (`DKIP_METRICS`), at exactly 1 and 8 runner threads,
-//! and the full `SimStats::to_kv()` serialisations must be bit-identical.
+//! metrics off and on (a runner carrying a [`MetricsConfig`]), at exactly
+//! 1 and 8 runner threads, and the full `SimStats::to_kv()` serialisations
+//! must be bit-identical.
 //! The per-job metrics files themselves must also be byte-identical across
 //! thread counts (rows are keyed on committed instructions, not host
 //! scheduling). A differential-fuzz pass with both telemetry backends
@@ -15,18 +16,13 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use dkip::riscv::GenConfig;
 use dkip::sim::fuzz::{check_config, check_source, FuzzOptions};
 use dkip::sim::runner::{results_to_kv, JobResult};
 use dkip::sim::suites;
 use dkip::sim::SweepRunner;
-use dkip_model::METRICS_ENV;
-
-/// Serialises env-var flips: jobs sample `DKIP_METRICS` at construction
-/// time, so no sweep may be in flight while another test mutates it.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+use dkip_model::MetricsConfig;
 
 /// Interval chosen so even the 4k-instruction golden budgets produce
 /// several rows per job.
@@ -39,24 +35,23 @@ fn metrics_dir(suite: &str, threads: usize) -> PathBuf {
 }
 
 fn run_suite(name: &str, threads: usize, metrics: Option<&Path>) -> Vec<JobResult> {
-    match metrics {
-        Some(dir) => {
-            // Start from an empty directory so stale files from an earlier
-            // run can never satisfy (or break) the comparison.
-            let _ = std::fs::remove_dir_all(dir);
-            std::fs::create_dir_all(dir).expect("create metrics dir");
-            std::env::set_var(METRICS_ENV, format!("{}/m.csv:{INTERVAL}", dir.display()));
-        }
-        None => std::env::remove_var(METRICS_ENV),
+    let mut runner = SweepRunner::new(threads);
+    if let Some(dir) = metrics {
+        // Start from an empty directory so stale files from an earlier run
+        // can never satisfy (or break) the comparison.
+        let _ = std::fs::remove_dir_all(dir);
+        std::fs::create_dir_all(dir).expect("create metrics dir");
+        runner = runner.with_metrics(MetricsConfig {
+            path: format!("{}/m.csv", dir.display()),
+            interval: INTERVAL,
+        });
     }
     let jobs = suites::golden_suites()
         .into_iter()
         .find(|(suite_name, _)| *suite_name == name)
         .map(|(_, jobs)| jobs)
         .expect("known suite name");
-    let results = SweepRunner::new(threads).run(&jobs);
-    std::env::remove_var(METRICS_ENV);
-    results
+    runner.run(&jobs)
 }
 
 /// Reads every metrics file of a run directory into `name -> contents`.
@@ -73,7 +68,6 @@ fn read_metrics(dir: &Path) -> BTreeMap<String, String> {
 }
 
 fn check_suite(name: &str) {
-    let _guard = ENV_LOCK.lock().expect("env lock poisoned");
     let mut per_thread_files: Vec<BTreeMap<String, String>> = Vec::new();
     for threads in [1, 8] {
         let off = run_suite(name, threads, None);
