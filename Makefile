@@ -1,11 +1,9 @@
 # Convenience targets wrapping the tier-1 verify and the paper artefacts.
 # Mirrored by .github/workflows/ci.yml.
 
-FIG_BINS = table1 table2_3 fig01_window_specint fig02_window_specfp \
-           fig03_issue_histogram fig09_comparison fig10_scheduler_sweep \
-           fig11_cache_sweep_specint fig12_cache_sweep_specfp \
-           fig13_llib_occupancy_specint fig14_llib_occupancy_specfp \
-           fig_riscv_ipc
+## The paper artefacts, each printed by `dkip-sim fig <name>`.
+FIG_BINS = table1 table2_3 fig01 fig02 fig03 fig09 fig10 fig11 fig12 \
+           fig13 fig14 riscv
 
 ## Scratch directory for the trace-smoke artefacts.
 TRACE_SMOKE_DIR = target/trace-smoke
@@ -37,22 +35,22 @@ lint:
 	cargo fmt --check
 
 ## Golden-stats regression checks: compare fresh runs against the pinned
-## snapshots in tests/golden/ (incl. the RISC-V kernel sweep), single- and
-## multi-threaded (see EXPERIMENTS.md).
-## perf_invariance and skip_equivalence hard-pin their own 1- and 8-thread
-## runners (they ignore DKIP_THREADS), so one invocation covers both thread
-## counts; skip_equivalence additionally runs every suite with the
-## event-driven clock on and off (DKIP_NO_SKIP) and requires bit-identical
+## snapshots in tests/golden/ (incl. the RISC-V kernel sweep), serially and
+## on a 4-thread runner (see EXPERIMENTS.md). perf_invariance pins the 1-
+## and 8-thread runners; skip_equivalence runs every golden job with the
+## event-driven clock on and single-stepped and requires bit-identical
 ## statistics.
-## The last step re-runs golden_stats with DKIP_SAMPLE and DKIP_METRICS
-## exported: the library reads neither, so the snapshots must still match
-## and no metrics file may appear.
+## The last step re-runs golden_stats with the retired knobs exported
+## (DKIP_SAMPLE, DKIP_METRICS, DKIP_THREADS, DKIP_CACHE, DKIP_CACHE_SALT,
+## DKIP_NO_SKIP): the library reads none of them, so the snapshots must
+## still match and the scratch directory must stay empty.
 golden:
-	DKIP_THREADS=1 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend --test perf_invariance --test skip_equivalence
-	DKIP_THREADS=8 cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend
+	cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend --test perf_invariance --test skip_equivalence
 	dir=$$(mktemp -d) && \
-	DKIP_SAMPLE=1000:100:100 DKIP_METRICS=$$dir/m.csv:500 cargo test -q -p dkip --test golden_stats && \
-	{ test -z "$$(ls -A $$dir)" || { echo "ambient DKIP_METRICS wrote files:"; ls $$dir; exit 1; }; } && \
+	DKIP_SAMPLE=1000:100:100 DKIP_METRICS=$$dir/m.csv:500 DKIP_THREADS=3 \
+	DKIP_CACHE=$$dir DKIP_CACHE_SALT=x DKIP_NO_SKIP=1 \
+	cargo test -q -p dkip --test golden_stats && \
+	{ test -z "$$(ls -A $$dir)" || { echo "ambient variables wrote files:"; ls $$dir; exit 1; }; } && \
 	rmdir $$dir
 
 ## Regenerate the golden snapshots after an *intended* behavioural change,
@@ -63,7 +61,7 @@ bless:
 ## Run every RV64IM kernel to completion on all three core families and
 ## print the per-kernel IPC table.
 riscv: build
-	./target/release/fig_riscv_ipc
+	./target/release/dkip-sim fig riscv
 
 ## Simulator-throughput benches (criterion shim). Set CRITERION_JSON=path
 ## (or pass `-- --save-baseline NAME`) to persist the measurements as JSON.
@@ -93,20 +91,21 @@ perfbench-check:
 		--workload fig09-exact --seconds 5 --trace 0
 
 ## Telemetry smoke: one kernel per core family with both backends attached
-## (interval metrics + O3PipeView pipeline trace), validated by trace_check
+## (interval metrics + O3PipeView pipeline trace, `dkip-sim timeseries`),
+## validated by trace_check
 ## (7-line block schema, monotone per-µop stage timestamps, metrics column
 ## schema, monotone cycle/committed counters), plus a repeat D-KIP run that
 ## must be byte-identical. Mirrored by the CI trace-smoke job.
 trace-smoke: build
 	rm -rf $(TRACE_SMOKE_DIR) && mkdir -p $(TRACE_SMOKE_DIR)
 	for fam in baseline kilo dkip; do \
-		./target/release/fig_timeseries $$fam riscv:matmul/8 \
+		./target/release/dkip-sim timeseries $$fam riscv:matmul/8 \
 			metrics=$(TRACE_SMOKE_DIR)/$$fam.csv:500 \
 			trace=$(TRACE_SMOKE_DIR)/$$fam.trace:20000 || exit 1; \
 		./target/release/trace_check $(TRACE_SMOKE_DIR)/$$fam.trace \
 			metrics=$(TRACE_SMOKE_DIR)/$$fam.csv || exit 1; \
 	done
-	./target/release/fig_timeseries dkip riscv:matmul/8 \
+	./target/release/dkip-sim timeseries dkip riscv:matmul/8 \
 		metrics=$(TRACE_SMOKE_DIR)/dkip-again.csv:500 \
 		trace=$(TRACE_SMOKE_DIR)/dkip-again.trace:20000
 	cmp $(TRACE_SMOKE_DIR)/dkip.csv $(TRACE_SMOKE_DIR)/dkip-again.csv
@@ -117,9 +116,9 @@ trace-smoke: build
 ##  1. full golden matrix ("all") cold then warm against one cache=DIR —
 ##     the warm run must recompute zero jobs (expect=warm exits 1
 ##     otherwise) and emit byte-identical output (cmp);
-##  2. same contract for one figure binary (fig09);
-##  3. a salt perturbation (DKIP_CACHE_SALT) and a budget perturbation must
-##     both miss the populated store (expect=cold).
+##  2. same contract for one figure (fig09);
+##  3. a sampling-rate perturbation of that figure and a budget perturbation
+##     of a sweep must both miss the populated store (expect=cold).
 cache-check: build
 	rm -rf $(CACHE_CHECK_DIR) && mkdir -p $(CACHE_CHECK_DIR)
 	./target/release/dkip-sim sweep all cache=$(CACHE_CHECK_DIR)/store expect=cold \
@@ -127,12 +126,12 @@ cache-check: build
 	./target/release/dkip-sim sweep all cache=$(CACHE_CHECK_DIR)/store expect=warm \
 		> $(CACHE_CHECK_DIR)/sweep-warm.txt
 	cmp $(CACHE_CHECK_DIR)/sweep-cold.txt $(CACHE_CHECK_DIR)/sweep-warm.txt
-	./target/release/fig09_comparison 2000 cache=$(CACHE_CHECK_DIR)/store expect=cold \
+	./target/release/dkip-sim fig fig09 budget=2000 cache=$(CACHE_CHECK_DIR)/store expect=cold \
 		> $(CACHE_CHECK_DIR)/fig09-cold.txt
-	./target/release/fig09_comparison 2000 cache=$(CACHE_CHECK_DIR)/store expect=warm \
+	./target/release/dkip-sim fig fig09 budget=2000 cache=$(CACHE_CHECK_DIR)/store expect=warm \
 		> $(CACHE_CHECK_DIR)/fig09-warm.txt
 	cmp $(CACHE_CHECK_DIR)/fig09-cold.txt $(CACHE_CHECK_DIR)/fig09-warm.txt
-	DKIP_CACHE_SALT=cache-check-perturbation ./target/release/dkip-sim sweep kilo \
+	./target/release/dkip-sim fig fig09 budget=2000 sample=1000:100:100 \
 		cache=$(CACHE_CHECK_DIR)/store expect=cold > /dev/null
 	./target/release/dkip-sim sweep kilo budget=3999 \
 		cache=$(CACHE_CHECK_DIR)/store expect=cold > /dev/null
@@ -209,7 +208,7 @@ fuzz:
 bench-figures: build
 	@for b in $(FIG_BINS); do \
 		echo "==== $$b ===="; \
-		./target/release/$$b || exit 1; \
+		./target/release/dkip-sim fig $$b || exit 1; \
 		echo; \
 	done
 

@@ -122,7 +122,7 @@ fn bench_figures(c: &mut Criterion) {
         .into_iter()
         .filter(|b| b.suite() == Suite::Fp)
         .collect();
-    let runner = dkip_sim::SweepRunner::from_env();
+    let runner = dkip_sim::SweepRunner::host();
     let mut group = c.benchmark_group("figures");
     group.sample_size(10);
     group.bench_function("table1", |b| b.iter(|| black_box(experiments::table1())));

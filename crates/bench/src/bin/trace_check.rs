@@ -1,5 +1,5 @@
 //! Validates telemetry output files: the O3PipeView pipeline trace written
-//! by `fig_timeseries` (line schema plus per-µop monotone stage timestamps)
+//! by `dkip-sim timeseries` (line schema plus per-µop monotone stage timestamps)
 //! and, optionally, an interval-metrics file (column schema plus monotone
 //! cycle/committed columns). CI's trace-smoke job runs this over one kernel
 //! per core family.

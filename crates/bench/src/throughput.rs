@@ -656,7 +656,7 @@ impl Default for PerfArgs {
 
 impl PerfArgs {
     /// Parses `budget=N samples=N out=PATH check=PATH tolerance=F floor=F
-    /// telemetry_overhead=PATH` (any order). Like the figure binaries,
+    /// telemetry_overhead=PATH` (any order). Like `dkip-sim`,
     /// malformed arguments are errors, never silent fallbacks.
     ///
     /// # Errors
@@ -768,20 +768,18 @@ pub fn run(args: &PerfArgs) -> i32 {
 
     let mut failed = false;
     // The event-driven clock must actually engage: if no D-KIP workload
-    // skipped a single cycle while skipping is enabled, the fast path has
-    // silently rotted (every memory-bound sweep quiesces somewhere).
-    if dkip_model::event_clock_enabled() {
-        let dkip_skipped: u64 = entries
-            .iter()
-            .filter(|e| e.family == "dkip")
-            .map(|e| e.cycles_skipped)
-            .sum();
-        if dkip_skipped == 0 {
-            eprintln!("event-driven clock: no dkip workload skipped any cycle [FAILED]");
-            failed = true;
-        } else {
-            println!("event-driven clock: dkip skipped {dkip_skipped} quiesced cycles [ok]");
-        }
+    // skipped a single cycle, the fast path has silently rotted (every
+    // memory-bound sweep quiesces somewhere).
+    let dkip_skipped: u64 = entries
+        .iter()
+        .filter(|e| e.family == "dkip")
+        .map(|e| e.cycles_skipped)
+        .sum();
+    if dkip_skipped == 0 {
+        eprintln!("event-driven clock: no dkip workload skipped any cycle [FAILED]");
+        failed = true;
+    } else {
+        println!("event-driven clock: dkip skipped {dkip_skipped} quiesced cycles [ok]");
     }
     // The sampled fast path must actually be fast: each sampled D-KIP row
     // must reach SAMPLED_SPEEDUP_FLOOR × the MIPS of its exact twin.

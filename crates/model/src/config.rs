@@ -15,30 +15,6 @@
 
 use crate::error::ConfigError;
 
-/// Environment variable that forces every engine the experiment harness
-/// builds to single-step quiesced cycles instead of skipping them with the
-/// event-driven clock.
-///
-/// Any value other than `0` or the empty string disables skipping. The
-/// equivalence tests use this to prove that the two clock modes produce
-/// bit-identical statistics.
-pub const NO_SKIP_ENV: &str = "DKIP_NO_SKIP";
-
-/// Whether the event-driven clock may skip quiesced cycles.
-///
-/// Reads [`NO_SKIP_ENV`] (`DKIP_NO_SKIP`). The experiment harness
-/// (`dkip_sim::Machine::build`) samples this once per engine it builds, so
-/// a test flipping the variable between runs affects every engine built
-/// afterwards but never a simulation already in flight. Engines built
-/// directly start with skipping on.
-#[must_use]
-pub fn event_clock_enabled() -> bool {
-    !matches!(
-        std::env::var(NO_SKIP_ENV).as_deref(),
-        Ok(v) if !v.is_empty() && v != "0"
-    )
-}
-
 /// Parameters of the sampled-simulation mode (SMARTS-style systematic
 /// sampling): the stream is divided into fixed-length periods; in each
 /// period the simulator functionally fast-forwards, then runs `warmup`
@@ -81,8 +57,8 @@ impl SampleConfig {
         (self.warmup + self.window) as f64 / self.period as f64
     }
 
-    /// Parses the `period:warmup:window` syntax of the figure binaries'
-    /// `sample=` argument.
+    /// Parses the `period:warmup:window` syntax of the `sample=` option of
+    /// `dkip-sim fig`.
     ///
     /// # Errors
     ///

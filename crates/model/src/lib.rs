@@ -49,8 +49,8 @@ pub use collections::{
     FastHashSet, LastWriters, WindowConsumerTable, MAX_SOURCES,
 };
 pub use config::{
-    event_clock_enabled, BaselineConfig, CacheProcessorConfig, DkipConfig, KiloConfig,
-    MemoryHierarchyConfig, MemoryProcessorConfig, SampleConfig, SchedPolicy, NO_SKIP_ENV,
+    BaselineConfig, CacheProcessorConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig,
+    MemoryProcessorConfig, SampleConfig, SchedPolicy,
 };
 pub use error::ConfigError;
 pub use instr::{BranchInfo, BranchKind, MicroOp};

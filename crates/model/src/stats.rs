@@ -358,7 +358,7 @@ pub struct SimStats {
     pub issue_latency: Option<Histogram>,
     /// `tick()` invocations actually executed by the core. With the
     /// event-driven clock this is `cycles - cycles_skipped`; single-stepping
-    /// (`DKIP_NO_SKIP=1`) makes it equal to `cycles`. Host-side telemetry:
+    /// (`Engine::set_single_step`) makes it equal to `cycles`. Host-side telemetry:
     /// excluded from [`SimStats::to_kv`] so golden snapshots stay identical
     /// across clock modes.
     pub ticks_executed: u64,
@@ -506,7 +506,7 @@ impl SimStats {
             issue_latency,
             // Clock telemetry is deliberately NOT serialised: it describes
             // how the host advanced simulated time (event-driven skipping vs
-            // DKIP_NO_SKIP single-stepping), not what the simulated machine
+            // single-stepping), not what the simulated machine
             // did, and golden snapshots must be identical in both modes.
             ticks_executed: _,
             cycles_skipped: _,

@@ -15,8 +15,8 @@
 //!   [`crate::SimStats::to_kv`] deliberately excludes. Rows serialise to
 //!   CSV (default) or JSON-lines (`.json`/`.jsonl` paths), with fixed
 //!   float precision, so repeated runs produce byte-identical files.
-//!   Configured with [`MetricsConfig`] (`metrics=<path>:<interval>` on the
-//!   figure binaries).
+//!   Configured with [`MetricsConfig`] (`metrics=<path>:<interval>` on
+//!   `dkip-sim fig` and `dkip-sim timeseries`).
 //! * **Pipeline trace** — per-µop stage timestamps (fetch, dispatch,
 //!   issue, complete, commit, plus the D-KIP's CP→MP handoff) emitted in
 //!   the gem5 O3PipeView text format, which the
@@ -90,8 +90,8 @@ pub struct MetricsConfig {
 }
 
 impl MetricsConfig {
-    /// Parses the `<path>:<interval>` syntax of the figure binaries'
-    /// `metrics=` argument.
+    /// Parses the `<path>:<interval>` syntax of the `metrics=` option of
+    /// `dkip-sim`.
     ///
     /// # Errors
     ///

@@ -73,7 +73,7 @@ impl Kernel {
         }
     }
 
-    /// The default problem size used by the figure binaries and goldens:
+    /// The default problem size used by the RISC-V figure and goldens:
     /// large enough for a few thousand to a few tens of thousands of dynamic
     /// instructions, small enough that a full three-family sweep stays fast.
     #[must_use]

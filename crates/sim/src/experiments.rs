@@ -23,6 +23,10 @@ use dkip_trace::{Benchmark, Suite};
 /// Default random seed used by every experiment.
 pub const SEED: u64 = 1;
 
+/// Default per-benchmark instruction budget of the synthetic figures and of
+/// `dkip-sim timeseries` on a synthetic workload.
+pub const DEFAULT_BUDGET: u64 = 10_000;
+
 /// Default instruction budget for the RISC-V kernel figure: generous enough
 /// that every shipped kernel at its default size runs to completion (the
 /// kernels halt after a few thousand to a few tens of thousands of dynamic
@@ -567,7 +571,7 @@ mod tests {
     #[test]
     fn riscv_figure_covers_all_kernels_and_machines() {
         // One small kernel keeps the unit test fast; the full matrix runs in
-        // the fig_riscv_ipc binary and the riscv golden test.
+        // `dkip-sim fig riscv` and the riscv golden test.
         let runs = vec![KernelRun::new(Kernel::FibRec, 10)];
         let fig = figure_riscv_ipc(&runs, RISCV_BUDGET, &runner());
         assert_eq!(fig.series.len(), 3);

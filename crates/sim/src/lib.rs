@@ -6,8 +6,7 @@
 //! * [`Machine`] — one of the three processor families with its
 //!   configuration; [`Machine::build`] is the one family dispatch, returning
 //!   a `Box<dyn dkip_ooo::Engine>` that every exact, probed and sampled run
-//!   simulates on (and the one place `DKIP_NO_SKIP` selects the clock
-//!   mode),
+//!   simulates on,
 //! * [`run_baseline`], [`run_kilo`] and [`run_dkip`] — one-call
 //!   synthetic-benchmark wrappers for the three families (re-exported from
 //!   the core crates),
@@ -20,7 +19,7 @@
 //!   `dkip-riscv`, both through one `Iterator<Item = MicroOp>` path,
 //! * [`runner`] — the parallel sweep runner: an explicit job list fanned out
 //!   over a `std::thread::scope` worker pool with deterministic result
-//!   ordering (`DKIP_THREADS` selects the pool size),
+//!   ordering,
 //! * [`fuzz`] — the differential-fuzzing oracle: checks that a random
 //!   RV64IM program commits the same architectural state on the functional
 //!   emulator and all three core families, plus the shrinking-lite
@@ -31,8 +30,8 @@
 //!   [`SweepRunner`]; exact mode stays the golden reference),
 //! * [`store`] — the persistent content-addressed result store: every
 //!   cacheable [`Job`] derives a stable config key, and the runner serves
-//!   hits byte-identically instead of re-simulating (`DKIP_CACHE` or the
-//!   `cache=` knob selects the store directory),
+//!   hits byte-identically instead of re-simulating (the `cache=` option
+//!   selects the store directory),
 //! * [`chaos`] — deterministic fault injection (`DKIP_FAULTS`): named
 //!   fault points on the store and runner I/O paths that chaos
 //!   campaigns arm to exercise the failure handling, and that cost one
@@ -41,14 +40,14 @@
 //!   `tests/golden/`, with a `DKIP_BLESS=1` regeneration path,
 //! * [`suites`] — the pinned job lists behind those snapshots, shared by the
 //!   golden-stats and perf-invariance tests,
-//! * [`report`] — plain-text table rendering used by the `fig*` binaries in
-//!   `dkip-bench` and by `EXPERIMENTS.md`.
+//! * [`report`] — plain-text table rendering used by `dkip-sim fig` and by
+//!   `EXPERIMENTS.md`.
 //!
 //! The instruction budget per benchmark is a parameter everywhere: the
 //! paper simulates 200M instructions per SimPoint, which is far more than
-//! needed for the synthetic workloads to reach steady state; the defaults
-//! used by the benches are tens of thousands of instructions so that the
-//! whole figure set regenerates in minutes.
+//! needed for the synthetic workloads to reach steady state; the figure
+//! default ([`experiments::DEFAULT_BUDGET`]) is ten thousand instructions so
+//! that the whole figure set regenerates in seconds.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -69,23 +68,13 @@ pub use dkip_kilo::run_kilo;
 pub use dkip_ooo::run_baseline;
 pub use runner::{Job, JobFailure, JobResult, Machine, SweepReport, SweepRunner};
 pub use sampled::{run_sampled, SampledRun};
-pub use store::{ResultStore, ShardSpec, StoredResult, SweepCheckpoint, CACHE_ENV};
+pub use store::{ResultStore, ShardSpec, StoredResult, SweepCheckpoint};
 pub use workload::{Workload, WorkloadStream};
 
 use dkip_model::config::MemoryHierarchyConfig;
 use dkip_model::stats::MeanIpc;
 use dkip_model::SimStats;
-use dkip_trace::Benchmark;
-
-/// How many instructions each benchmark runs for in an experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstrBudget(pub u64);
-
-impl Default for InstrBudget {
-    fn default() -> Self {
-        InstrBudget(20_000)
-    }
-}
+use dkip_trace::{Benchmark, Suite};
 
 /// A closure-friendly alias for "run this benchmark and give me its stats".
 pub type BenchRunner<'a> = dyn Fn(Benchmark) -> SimStats + 'a;
@@ -106,6 +95,20 @@ pub fn suite_mean_ipc(benchmarks: &[Benchmark], runner: &BenchRunner<'_>) -> f64
 #[must_use]
 pub fn figure11_l2_sizes_kb() -> Vec<usize> {
     vec![64, 128, 256, 512, 1024, 2048, 4096]
+}
+
+/// The benchmarks a figure runs for `suite`: the whole suite when `full`,
+/// otherwise its members of the fast representative subset.
+#[must_use]
+pub fn figure_benchmarks(suite: Suite, full: bool) -> Vec<Benchmark> {
+    match (full, suite) {
+        (true, Suite::Int) => Benchmark::spec_int(),
+        (true, Suite::Fp) => Benchmark::spec_fp(),
+        (false, _) => Benchmark::representative()
+            .into_iter()
+            .filter(|b| b.suite() == suite)
+            .collect(),
+    }
 }
 
 /// Convenience: the default memory hierarchy of Tables 2/3.
@@ -144,6 +147,24 @@ mod tests {
 
     #[test]
     fn default_budget_is_reasonable() {
-        assert!(InstrBudget::default().0 >= 10_000);
+        const {
+            assert!(experiments::DEFAULT_BUDGET >= 10_000);
+            assert!(experiments::RISCV_BUDGET > experiments::DEFAULT_BUDGET);
+        }
+    }
+
+    #[test]
+    fn representative_subset_is_split_by_suite() {
+        for suite in [Suite::Int, Suite::Fp] {
+            let benchmarks = figure_benchmarks(suite, false);
+            assert!(!benchmarks.is_empty());
+            assert!(benchmarks.iter().all(|b| b.suite() == suite));
+        }
+    }
+
+    #[test]
+    fn full_suite_selects_all_benchmarks() {
+        assert_eq!(figure_benchmarks(Suite::Int, true).len(), 12);
+        assert_eq!(figure_benchmarks(Suite::Fp, true).len(), 14);
     }
 }

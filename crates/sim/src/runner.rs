@@ -14,10 +14,10 @@
 //! * each [`JobResult`] carries the job's wall-clock time so throughput can
 //!   be reported without affecting the simulated statistics.
 //!
-//! The thread count comes from [`SweepRunner::from_env`] (the `DKIP_THREADS`
-//! environment variable, defaulting to the available parallelism) or is set
-//! explicitly with [`SweepRunner::new`]; `SweepRunner::new(1)` degrades to a
-//! plain serial loop on the caller's thread.
+//! The thread count is set explicitly with [`SweepRunner::new`] or taken
+//! from the host's available parallelism by [`SweepRunner::host`];
+//! `SweepRunner::new(1)` degrades to a plain serial loop on the caller's
+//! thread.
 //!
 //! Jobs are failure-isolated: each one runs under `catch_unwind`, so a
 //! panicking simulation point becomes a recorded [`JobFailure`] in the
@@ -36,14 +36,9 @@ use crate::workload::Workload;
 use dkip_core::DkipProcessor;
 use dkip_kilo::build_kilo_core;
 use dkip_mem::MemoryHierarchy;
-use dkip_model::config::{
-    event_clock_enabled, BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig,
-};
+use dkip_model::config::{BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchyConfig};
 use dkip_model::{KeyWriter, MetricsConfig, SampleConfig, SimStats, StableKey, Telemetry};
 use dkip_ooo::{Engine, OooCore};
-
-/// Environment variable overriding the worker-pool size.
-pub const THREADS_ENV: &str = "DKIP_THREADS";
 
 /// One of the three simulated processor families, with its configuration.
 ///
@@ -85,10 +80,10 @@ impl Machine {
     /// hierarchy `mem`.
     ///
     /// This is the one family dispatch: exact runs, probed runs and sampled
-    /// runs all simulate on the engine it returns. It is also the one place
-    /// the clock mode is decided: `DKIP_NO_SKIP`
-    /// ([`event_clock_enabled`]) forces single-stepping, which changes host
-    /// time only — the statistics are identical either way.
+    /// runs all simulate on the engine it returns. The engine skips
+    /// quiesced cycles with the event-driven clock;
+    /// [`Engine::set_single_step`] turns that off, which changes host time
+    /// only — the statistics are identical either way.
     ///
     /// # Panics
     ///
@@ -96,13 +91,11 @@ impl Machine {
     #[must_use]
     pub fn build(&self, mem: &MemoryHierarchyConfig) -> Box<dyn Engine> {
         let hierarchy = MemoryHierarchy::new(mem.clone()).expect("invalid memory configuration");
-        let mut engine: Box<dyn Engine> = match self {
+        match self {
             Machine::Baseline(cfg) => Box::new(OooCore::from_baseline(cfg, hierarchy)),
             Machine::Kilo(cfg) => Box::new(build_kilo_core(cfg, hierarchy)),
             Machine::Dkip(cfg) => Box::new(DkipProcessor::new(cfg.clone(), hierarchy)),
-        };
-        engine.set_single_step(!event_clock_enabled());
-        engine
+        }
     }
 
     /// Runs this machine on one workload and returns its statistics.
@@ -269,9 +262,9 @@ impl Job {
     /// The text covers *everything* that determines the statistics: the
     /// machine family and full configuration, the memory hierarchy, the
     /// workload name (which fully determines the workload — see
-    /// [`Workload::parse`]), the budget, the seed, the sampling knob and
-    /// the clock mode (`DKIP_NO_SKIP` changes scheduling granularity, so
-    /// event- and step-clock results must never share an entry). The
+    /// [`Workload::parse`]), the budget and the seed, and the sampling
+    /// knob. A constant `clock=event` line closes the text: it keeps the
+    /// digests of entries written when the clock mode was a key axis. The
     /// `label` is presentation-only and the `metrics` probe makes a job
     /// uncacheable ([`Job::cacheable`]) rather than part of the key.
     #[must_use]
@@ -291,14 +284,7 @@ impl Job {
             None => w.field("sample", "none"),
             Some(sample) => w.scoped("sample", |w| sample.write_key(w)),
         }
-        w.field(
-            "clock",
-            if event_clock_enabled() {
-                "event"
-            } else {
-                "step"
-            },
-        );
+        w.field("clock", "event");
         w.finish()
     }
 
@@ -610,7 +596,7 @@ impl SweepReport {
     /// Unwraps a sweep that must be fully green: returns the ordered
     /// results, or — when any job failed — prints a per-failure summary to
     /// stderr and panics with the failure count. This is the exit path of
-    /// the figure binaries (via [`SweepRunner::run`]): a partial figure is
+    /// `dkip-sim fig` (via [`SweepRunner::run`]): a partial figure is
     /// worse than no figure, but the operator still gets told exactly
     /// which simulation points died and why.
     ///
@@ -643,8 +629,7 @@ pub type JobObserver<'a> = &'a (dyn Fn(usize, &JobResult) + Sync);
 /// Scheduling is dynamic (workers claim the next unstarted job), but the
 /// result vector is ordered by job index, so the output — and therefore any
 /// golden serialisation derived from it — is identical for every thread
-/// count. When a [`ResultStore`] is attached ([`SweepRunner::with_store`] or
-/// the `DKIP_CACHE` environment variable via [`SweepRunner::from_env`]),
+/// count. When a [`ResultStore`] is attached ([`SweepRunner::with_store`]),
 /// each cacheable job is looked up before simulating and written back on a
 /// miss; because stored entries are verified byte-for-byte on load, a hit
 /// is byte-identical to a recompute, preserving the thread-count invariant.
@@ -652,7 +637,7 @@ pub type JobObserver<'a> = &'a (dyn Fn(usize, &JobResult) + Sync);
 /// A runner may also carry a sampling rate ([`SweepRunner::with_sample`])
 /// and an interval-metrics configuration ([`SweepRunner::with_metrics`]).
 /// Each one it carries replaces the job's own setting before the job is
-/// keyed and run, so a figure binary's `sample=`/`metrics=` reaches every
+/// keyed and run, so a figure's `sample=`/`metrics=` reaches every
 /// job of its sweeps; a runner carrying neither runs each job as built.
 #[derive(Debug, Clone)]
 pub struct SweepRunner {
@@ -681,32 +666,11 @@ impl SweepRunner {
         Self::new(1)
     }
 
-    /// Reads the thread count from the `DKIP_THREADS` environment variable,
-    /// falling back to the host's available parallelism when it is unset,
-    /// and attaches the result store named by `DKIP_CACHE` (if any).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `DKIP_THREADS` is set but not a positive integer, or
-    /// when `DKIP_CACHE` names a directory that cannot be created. Like the
-    /// `threads=N` CLI argument, an explicitly stated knob must not fall
-    /// back silently — a CI job pinning the pool size or cache would
-    /// otherwise run with whatever the host happens to have.
+    /// A runner with one worker per unit of the host's available
+    /// parallelism and no result store.
     #[must_use]
-    pub fn from_env() -> Self {
-        let runner = match std::env::var(THREADS_ENV) {
-            Err(_) => Self::new(std::thread::available_parallelism().map_or(1, usize::from)),
-            Ok(value) => match Self::parse_threads(&value) {
-                Some(n) => Self::new(n),
-                None => panic!("invalid {THREADS_ENV}={value:?}: expected a positive integer"),
-            },
-        };
-        runner.with_store_opt(ResultStore::from_env())
-    }
-
-    /// Parses an explicit thread-count string (whitespace-tolerant).
-    fn parse_threads(value: &str) -> Option<usize> {
-        value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+    pub fn host() -> Self {
+        Self::new(std::thread::available_parallelism().map_or(1, usize::from))
     }
 
     /// The number of worker threads this runner uses.
@@ -1010,6 +974,8 @@ mod tests {
     #[test]
     fn thread_count_is_clamped_to_one() {
         assert_eq!(SweepRunner::new(0).threads(), 1);
+        let host = SweepRunner::host();
+        assert!(host.threads() >= 1 && host.store().is_none());
     }
 
     #[test]
@@ -1176,7 +1142,7 @@ mod tests {
         assert!(text.contains("mem.name=MEM-400\n"));
         assert!(text.contains("workload=gcc\n"));
         assert!(text.contains("sample=none\n"));
-        assert!(text.ends_with("clock=step\n") || text.ends_with("clock=event\n"));
+        assert!(text.ends_with("clock=event\n"));
         let variants = vec![
             base.clone().with_seed(99),
             base.clone().with_sample(SampleConfig::default_rate()),
@@ -1209,14 +1175,5 @@ mod tests {
             text,
             "the label is presentation-only"
         );
-    }
-
-    #[test]
-    fn explicit_thread_counts_parse_strictly() {
-        assert_eq!(SweepRunner::parse_threads("8"), Some(8));
-        assert_eq!(SweepRunner::parse_threads(" 08 "), Some(8));
-        assert_eq!(SweepRunner::parse_threads("0"), None);
-        assert_eq!(SweepRunner::parse_threads("eight"), None);
-        assert_eq!(SweepRunner::parse_threads(""), None);
     }
 }

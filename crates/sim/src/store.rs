@@ -4,9 +4,9 @@
 //! statistics of a [`crate::Job`] are a pure function of its configuration.
 //! This module exploits that by caching [`dkip_model::SimStats`] on disk
 //! under a key derived from the *complete* job configuration (machine +
-//! memory hierarchy + workload + seed + budget + sample/clock knobs, see
-//! [`crate::Job::key_text`]) salted with a code-version stamp, so figure
-//! binaries and `dkip-sim sweep` only compute what changed.
+//! memory hierarchy + workload + seed + budget + sampling knob, see
+//! [`crate::Job::key_text`]) salted with a code-version stamp, so
+//! `dkip-sim fig` and `dkip-sim sweep` only compute what changed.
 //!
 //! # Key derivation and invalidation contract
 //!
@@ -16,9 +16,10 @@
 //! * the store format version ([`STORE_VERSION`]),
 //! * [`RESULTS_EPOCH`] — a manually bumped counter for "results changed
 //!   without a config-struct change" events,
-//! * the `dkip-sim` crate version (`CARGO_PKG_VERSION`),
-//! * the free-form [`CACHE_SALT_ENV`] environment variable (empty when
-//!   unset), which tests and operators use to force cold runs.
+//! * the `dkip-sim` crate version (`CARGO_PKG_VERSION`).
+//!
+//! Nothing else salts a key: to force a cold run, point `cache=` at a
+//! fresh directory.
 //!
 //! The job key text itself is produced by exhaustive destructuring
 //! ([`dkip_model::StableKey`]): adding a field to any config struct without
@@ -60,14 +61,6 @@ use std::time::Duration;
 use crate::chaos::{self, FaultPoint};
 use dkip_model::{key_digest, SimStats};
 
-/// Environment variable selecting the cache directory (empty = disabled).
-pub const CACHE_ENV: &str = "DKIP_CACHE";
-
-/// Environment variable mixed verbatim into the cache salt. Setting it to a
-/// fresh value invalidates every existing entry without touching the store
-/// directory — the perturbation knob `make cache-check` uses.
-pub const CACHE_SALT_ENV: &str = "DKIP_CACHE_SALT";
-
 /// Manually bumped whenever simulated results change without any config
 /// struct changing shape (e.g. a timing-model bug fix). Part of the cache
 /// salt, so bumping it invalidates every cached result.
@@ -95,7 +88,7 @@ pub struct StoredResult {
 
 /// A content-addressed result store rooted at one directory.
 ///
-/// Cloning is cheap and shares the hit/miss counters, so a figure binary
+/// Cloning is cheap and shares the hit/miss counters, so a figure
 /// that runs several sweeps through clones of one store still reports
 /// per-process totals (see [`ResultStore::hits`]).
 #[derive(Debug, Clone)]
@@ -121,7 +114,7 @@ impl ResultStore {
         fs::create_dir_all(&root)?;
         Ok(ResultStore {
             root,
-            salt: Self::salt_header(),
+            salt: Self::salt_header(RESULTS_EPOCH),
             hits: Arc::new(AtomicU64::new(0)),
             misses: Arc::new(AtomicU64::new(0)),
             write_errors: Arc::new(AtomicU64::new(0)),
@@ -129,30 +122,12 @@ impl ResultStore {
         })
     }
 
-    /// Opens the store named by the `DKIP_CACHE` environment variable.
-    /// Unset or empty/whitespace means "no store".
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable names a directory that cannot be created —
-    /// an explicitly requested cache must not be dropped silently.
-    #[must_use]
-    pub fn from_env() -> Option<ResultStore> {
-        let value = std::env::var(CACHE_ENV).ok()?;
-        if value.trim().is_empty() {
-            return None;
-        }
-        match Self::open(value.trim()) {
-            Ok(store) => Some(store),
-            Err(e) => panic!("invalid {CACHE_ENV}={value:?}: cannot open store: {e}"),
-        }
-    }
-
     /// The code-version salt prefixed to every key text before hashing.
-    fn salt_header() -> String {
-        let extra = std::env::var(CACHE_SALT_ENV).unwrap_or_default();
+    /// The empty `salt=` line keeps the keys of stores written when it held
+    /// a user-chosen salt.
+    fn salt_header(epoch: u32) -> String {
         format!(
-            "{STORE_VERSION}\nepoch={RESULTS_EPOCH}\ncrate={}\nsalt={extra}\n",
+            "{STORE_VERSION}\nepoch={epoch}\ncrate={}\nsalt=\n",
             env!("CARGO_PKG_VERSION"),
         )
     }
@@ -579,6 +554,35 @@ mod tests {
         let clone = store.clone();
         let _ = clone.lookup(&store.key_for_text("a"));
         assert_eq!(store.misses(), 1, "clones share the miss counter");
+    }
+
+    /// A store over the same directory with a different salt header (here a
+    /// bumped epoch) misses every entry and recomputes byte-identically;
+    /// the original salt still hits its own entries.
+    #[test]
+    fn a_salt_change_invalidates_every_entry() {
+        use crate::runner::results_to_kv;
+        use crate::SweepRunner;
+        let jobs = crate::suites::golden_suite_jobs("baseline", Some(1_000)).unwrap();
+        let dir = scratch("salt");
+        let run = |store: ResultStore| SweepRunner::new(2).with_store(store).run_report(&jobs);
+        let cold = run(ResultStore::open(&dir).unwrap());
+        assert_eq!(cold.hits, 0);
+        let mut bumped = ResultStore::open(&dir).unwrap();
+        bumped.salt = ResultStore::salt_header(RESULTS_EPOCH + 1);
+        let perturbed = run(bumped);
+        assert_eq!(
+            (perturbed.hits, perturbed.misses),
+            (0, jobs.len() as u64),
+            "a salt change must invalidate every entry"
+        );
+        assert_eq!(
+            results_to_kv(&perturbed.results),
+            results_to_kv(&cold.results)
+        );
+        let back = run(ResultStore::open(&dir).unwrap());
+        assert_eq!(back.hits, jobs.len() as u64);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `tests/golden/`, the latter to prove hot-path optimizations are
 //! observationally pure at 1 and 8 runner threads. Defining the job lists
 //! here (instead of inline in each test) guarantees the two tests can never
-//! drift apart, and gives the figure binaries access to the same matrices.
+//! drift apart, and gives `dkip-sim sweep` access to the same matrices.
 //!
 //! Changing anything here changes what the snapshots pin — regenerate them
 //! with `make bless` and review the diff.
@@ -139,7 +139,7 @@ pub fn golden_dkip_jobs() -> Vec<Job> {
 
 /// The RISC-V golden sweep (`tests/golden/riscv.golden`): every shipped
 /// RV64IM kernel run to completion on all three core families over the
-/// paper-default memory hierarchy — the exact matrix of `fig_riscv_ipc`
+/// paper-default memory hierarchy — the exact matrix of `dkip-sim fig riscv`
 /// (6 kernels × 3 families = 18 jobs).
 #[must_use]
 pub fn golden_riscv_jobs() -> Vec<Job> {

@@ -274,7 +274,7 @@ fn run_panics_with_a_failure_summary_when_jobs_fail() {
         .unwrap_or_default();
     assert!(
         message.contains("sweep jobs failed"),
-        "figure binaries die with a counted summary, got: {message}"
+        "a failed figure sweep dies with a counted summary, got: {message}"
     );
 }
 

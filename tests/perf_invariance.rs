@@ -6,9 +6,9 @@
 //! `SimStats::to_kv()` to be bit-identical to the checked-in snapshots.
 //!
 //! It deliberately duplicates part of `golden_stats.rs` (which compares the
-//! serial run against `DKIP_THREADS`-selected pools): here the two thread
-//! counts are hard-pinned so a thread-sensitivity bug cannot hide behind a
-//! CI environment that happens to set both jobs to the same pool size.
+//! serial run against a 4-thread pool): here the 1- and 8-thread counts are
+//! pinned too, so a thread-sensitivity bug needs to survive three pool
+//! sizes to hide.
 
 use std::path::PathBuf;
 

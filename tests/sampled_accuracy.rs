@@ -41,7 +41,7 @@ const SYNTHETIC_BUDGET: u64 = 100_000;
 /// Runs `jobs` exactly and under `rate`, then asserts both error bands.
 fn check_suite(name: &str, jobs: &[Job], rate: &str) {
     let sample = SampleConfig::parse(rate).expect("valid sampling rate");
-    let runner = SweepRunner::from_env();
+    let runner = SweepRunner::host();
     let exact = runner.run(jobs);
     let sampled_jobs: Vec<Job> = jobs
         .iter()

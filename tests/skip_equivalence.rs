@@ -1,78 +1,61 @@
 //! Event-driven-clock equivalence contract: skipping quiesced cycles must be
-//! *observationally pure*. Every pinned golden sweep — the three Spec-family
-//! suites and the 18-job RISC-V matrix — is run twice, once with the default
-//! event-driven clock and once single-stepped (`DKIP_NO_SKIP=1`), at exactly
-//! 1 and 8 runner threads, and the full `SimStats::to_kv()` serialisations
-//! must be bit-identical. The default-clock run must also have skipped at
-//! least one cycle somewhere, so this test cannot silently pass because the
-//! skip path stopped engaging.
+//! *observationally pure*. Every job of every pinned golden sweep — the
+//! three Spec-family suites and the 18-job RISC-V matrix — is run once
+//! through the sweep runner, whose engines skip quiesced cycles, and once
+//! on an engine from the same `Machine::build` with
+//! `Engine::set_single_step(true)`. The full `SimStats::to_kv()`
+//! serialisations must be bit-identical. The runner's results must also
+//! have skipped at least one cycle somewhere in each suite, so this test
+//! cannot silently pass because the skip path stopped engaging.
 //!
-//! `golden_stats.rs` separately pins the default-clock output against the
-//! snapshots in `tests/golden/`, so together the two tests prove
-//! skip-on == skip-off == golden.
+//! `golden_stats.rs` separately pins the runner's output against the
+//! snapshots in `tests/golden/`, and `perf_invariance.rs` pins it at 1 and
+//! 8 threads, so together the tests prove skip-on == skip-off == golden.
 
-use std::sync::Mutex;
-
-use dkip::sim::runner::{results_to_kv, JobResult};
 use dkip::sim::suites;
 use dkip::sim::SweepRunner;
-use dkip_model::NO_SKIP_ENV;
+use dkip_model::SimStats;
 
-/// Serialises env-var flips: the cores sample `DKIP_NO_SKIP` at construction
-/// time, so no sweep may be in flight while another test mutates it.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn run_suite(name: &str, threads: usize, single_step: bool) -> Vec<JobResult> {
+fn check_suite(name: &str) {
     let jobs = suites::golden_suites()
         .into_iter()
         .find(|(suite_name, _)| *suite_name == name)
         .map(|(_, jobs)| jobs)
         .expect("known suite name");
-    if single_step {
-        std::env::set_var(NO_SKIP_ENV, "1");
-    } else {
-        std::env::remove_var(NO_SKIP_ENV);
-    }
-    let results = SweepRunner::new(threads).run(&jobs);
-    std::env::remove_var(NO_SKIP_ENV);
-    results
-}
-
-fn check_suite(name: &str) {
-    let _guard = ENV_LOCK.lock().expect("env lock poisoned");
-    for threads in [1, 8] {
-        let skipping = run_suite(name, threads, false);
-        let stepped = run_suite(name, threads, true);
+    let skipping = SweepRunner::new(2).run(&jobs);
+    let stepped: Vec<SimStats> = jobs
+        .iter()
+        .map(|job| {
+            let mut engine = job.machine.build(&job.mem);
+            engine.set_single_step(true);
+            engine.run(&mut job.workload.stream(job.seed), job.budget)
+        })
+        .collect();
+    for ((job, a), b) in jobs.iter().zip(&skipping).zip(&stepped) {
         assert_eq!(
-            results_to_kv(&skipping),
-            results_to_kv(&stepped),
-            "suite {name} at {threads} threads: event-driven clock must be bit-identical \
-             to single-stepping"
+            a.stats.to_kv(),
+            b.to_kv(),
+            "{}: event-driven clock must be bit-identical to single-stepping",
+            job.label
         );
-        let skipped_total: u64 = skipping.iter().map(|r| r.stats.cycles_skipped).sum();
-        assert!(
-            skipped_total > 0,
-            "suite {name} at {threads} threads: the event-driven clock never engaged"
-        );
-        let stepped_total: u64 = stepped.iter().map(|r| r.stats.cycles_skipped).sum();
         assert_eq!(
-            stepped_total, 0,
-            "suite {name} at {threads} threads: DKIP_NO_SKIP=1 must force single-stepping"
+            a.stats.ticks_executed + a.stats.cycles_skipped,
+            a.stats.cycles,
+            "{}: ticked + skipped must cover every simulated cycle",
+            job.label
         );
-        for (a, b) in skipping.iter().zip(&stepped) {
-            assert_eq!(
-                a.stats.ticks_executed + a.stats.cycles_skipped,
-                a.stats.cycles,
-                "{}: ticked + skipped must cover every simulated cycle",
-                a.label
-            );
-            assert_eq!(
-                b.stats.ticks_executed, b.stats.cycles,
-                "{}: single-stepping ticks every cycle",
-                b.label
-            );
-        }
+        assert_eq!(
+            (b.ticks_executed, b.cycles_skipped),
+            (b.cycles, 0),
+            "{}: single-stepping ticks every cycle",
+            job.label
+        );
     }
+    let skipped_total: u64 = skipping.iter().map(|r| r.stats.cycles_skipped).sum();
+    assert!(
+        skipped_total > 0,
+        "suite {name}: the event-driven clock never engaged"
+    );
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Result-store contract tests: key stability, hit==recompute
-//! bit-identity, salt invalidation, corruption recovery and
-//! interrupted-sweep resume.
+//! bit-identity, corruption recovery, write degradation and
+//! interrupted-sweep resume. (Salt invalidation is pinned by the
+//! `dkip_sim::store` unit tests.)
 //!
 //! The committed fixture `tests/golden/cache_keys.golden` pins the
 //! *unsalted* config-key digest ([`dkip::model::key_digest`] over
@@ -18,13 +19,12 @@ use std::sync::Mutex;
 use dkip::model::key_digest;
 use dkip::sim::chaos;
 use dkip::sim::runner::results_to_kv;
-use dkip::sim::store::{ResultStore, CACHE_SALT_ENV};
+use dkip::sim::store::ResultStore;
 use dkip::sim::{golden, suites, SweepRunner};
 
-/// Serialises tests that open stores or touch `DKIP_CACHE_SALT`: the salt
-/// is sampled from the environment at `ResultStore::open` time, so opens
-/// must not interleave with another test's salt perturbation.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// Serialises the store tests: one of them arms the process-wide
+/// `store.write` fault point, which must not fire in another test's sweep.
+static STORE_LOCK: Mutex<()> = Mutex::new(());
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dkip-store-it-{tag}-{}", std::process::id()));
@@ -66,7 +66,7 @@ fn cache_key_fixture_pins_the_hash_inputs() {
 /// byte-identical to the uncached reference at every thread count.
 #[test]
 fn warm_runs_recompute_nothing_and_match_bit_for_bit() {
-    let _guard = ENV_LOCK.lock().unwrap();
+    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_500)).unwrap();
     let reference = results_to_kv(&SweepRunner::new(2).run(&jobs));
     let store = ResultStore::open(scratch("warm")).unwrap();
@@ -93,44 +93,11 @@ fn warm_runs_recompute_nothing_and_match_bit_for_bit() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// Changing the version salt must miss every existing entry — and the
-/// recomputed results must still match the reference exactly.
-#[test]
-fn salt_perturbation_invalidates_the_cache() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let jobs = suites::golden_suite_jobs("baseline", Some(1_000)).unwrap();
-    let dir = scratch("salt");
-    let store = ResultStore::open(&dir).unwrap();
-    let cold = SweepRunner::new(2).with_store(store).run_report(&jobs);
-    assert_eq!(cold.hits, 0);
-    std::env::set_var(CACHE_SALT_ENV, "store-test-perturbation");
-    let perturbed_store = ResultStore::open(&dir).unwrap();
-    std::env::remove_var(CACHE_SALT_ENV);
-    let perturbed = SweepRunner::new(2)
-        .with_store(perturbed_store)
-        .run_report(&jobs);
-    assert_eq!(
-        (perturbed.hits, perturbed.misses),
-        (0, jobs.len() as u64),
-        "a salt change must invalidate every entry"
-    );
-    assert_eq!(
-        results_to_kv(&perturbed.results),
-        results_to_kv(&cold.results)
-    );
-    // The original salt still hits its own entries.
-    let back = SweepRunner::new(2)
-        .with_store(ResultStore::open(&dir).unwrap())
-        .run_report(&jobs);
-    assert_eq!(back.hits, jobs.len() as u64);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// An interrupted sweep (only part of the job list completed) resumes as
 /// cache hits for the finished jobs and recomputes exactly the rest.
 #[test]
 fn interrupted_sweeps_resume_from_the_store() {
-    let _guard = ENV_LOCK.lock().unwrap();
+    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_200)).unwrap();
     assert_eq!(jobs.len(), 3);
     let reference = results_to_kv(&SweepRunner::serial().run(&jobs));
@@ -157,7 +124,7 @@ fn interrupted_sweeps_resume_from_the_store() {
 /// heals on the next fault-free open.
 #[test]
 fn enospc_writes_degrade_to_uncached_and_never_leave_partial_entries() {
-    let _guard = ENV_LOCK.lock().unwrap();
+    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_300)).unwrap();
     let reference = results_to_kv(&SweepRunner::serial().run(&jobs));
     let dir = scratch("enospc");
@@ -229,7 +196,7 @@ fn walk_files(dir: &PathBuf) -> Vec<PathBuf> {
 /// recomputed, rewritten — and the output never changes.
 #[test]
 fn corrupted_entries_recover_by_recomputing() {
-    let _guard = ENV_LOCK.lock().unwrap();
+    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_000)).unwrap();
     let store = ResultStore::open(scratch("recover")).unwrap();
     let cold = SweepRunner::serial()
