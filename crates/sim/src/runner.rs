@@ -673,6 +673,13 @@ impl SweepRunner {
         Self::new(std::thread::available_parallelism().map_or(1, usize::from))
     }
 
+    /// Parses an explicit thread count (`threads=N`), whitespace-tolerant:
+    /// `None` unless it is a positive integer, so a stated pool size never
+    /// falls back silently to the host's.
+    pub(crate) fn parse_threads(value: &str) -> Option<usize> {
+        value.trim().parse::<usize>().ok().filter(|&n| n > 0)
+    }
+
     /// The number of worker threads this runner uses.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -1175,5 +1182,14 @@ mod tests {
             text,
             "the label is presentation-only"
         );
+    }
+
+    #[test]
+    fn explicit_thread_counts_parse_strictly() {
+        assert_eq!(SweepRunner::parse_threads("8"), Some(8));
+        assert_eq!(SweepRunner::parse_threads(" 08 "), Some(8));
+        assert_eq!(SweepRunner::parse_threads("0"), None);
+        assert_eq!(SweepRunner::parse_threads("eight"), None);
+        assert_eq!(SweepRunner::parse_threads(""), None);
     }
 }
