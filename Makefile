@@ -42,13 +42,14 @@ lint:
 ## statistics.
 ## The last step re-runs golden_stats with the retired knobs exported
 ## (DKIP_SAMPLE, DKIP_METRICS, DKIP_THREADS, DKIP_CACHE, DKIP_CACHE_SALT,
-## DKIP_NO_SKIP): the library reads none of them, so the snapshots must
-## still match and the scratch directory must stay empty.
+## DKIP_NO_SKIP, DKIP_FAULTS): the library reads none of them, so the
+## snapshots must still match and the scratch directory must stay empty.
+## An honoured DKIP_FAULTS=job.panic:1:0 would fail every job.
 golden:
 	cargo test -q -p dkip --test golden_stats --test determinism --test riscv_frontend --test perf_invariance --test skip_equivalence
 	dir=$$(mktemp -d) && \
 	DKIP_SAMPLE=1000:100:100 DKIP_METRICS=$$dir/m.csv:500 DKIP_THREADS=3 \
-	DKIP_CACHE=$$dir DKIP_CACHE_SALT=x DKIP_NO_SKIP=1 \
+	DKIP_CACHE=$$dir DKIP_CACHE_SALT=x DKIP_NO_SKIP=1 DKIP_FAULTS=job.panic:1:0 \
 	cargo test -q -p dkip --test golden_stats && \
 	{ test -z "$$(ls -A $$dir)" || { echo "ambient variables wrote files:"; ls $$dir; exit 1; }; } && \
 	rmdir $$dir
@@ -138,7 +139,7 @@ cache-check: build
 	@echo "cache-check: warm runs recompute nothing and are byte-identical; perturbations miss"
 
 ## Chaos campaigns, mirrored by the CI chaos-check job. Fault points are
-## armed per process via DKIP_FAULTS=<point>:<rate>:<seed> (see
+## armed per sweep via faults=<point>:<rate>:<seed>[,...] (see
 ## crates/sim/src/chaos.rs), so each CLI invocation below is one sealed
 ## campaign. The gates:
 ##  1. the chaos/store integration suites in release mode;
@@ -150,14 +151,14 @@ cache-check: build
 ##  4. a store whose every write fails degrades to uncached (exit 0,
 ##     byte-identical stdout, nothing cached — expect=cold proves it);
 ##  5. a store whose every read fails recomputes everything byte-identically;
-##  6. armed store/metrics faults must not perturb paths that never consult
-##     them: golden snapshots and the fuzz-corpus replay stay green.
+##  6. nothing outside the command line arms a fault: with the retired
+##     DKIP_FAULTS=job.panic:1:0 exported, a sweep exits 0 byte-identical.
 chaos-check: build
 	rm -rf $(CHAOS_CHECK_DIR) && mkdir -p $(CHAOS_CHECK_DIR)
 	cargo test -q --release -p dkip --test chaos --test store
 	./target/release/dkip-sim sweep kilo cache=$(CHAOS_CHECK_DIR)/ref expect=cold \
 		> $(CHAOS_CHECK_DIR)/ref.txt
-	DKIP_FAULTS=job.panic:first2:7 ./target/release/dkip-sim sweep kilo retries=0 \
+	./target/release/dkip-sim sweep kilo retries=0 faults=job.panic:first2:7 \
 		cache=$(CHAOS_CHECK_DIR)/heal > $(CHAOS_CHECK_DIR)/campaign.txt \
 		2> $(CHAOS_CHECK_DIR)/campaign.status; \
 	test $$? -eq 1 || { echo "chaos-check: the panic campaign must exit 1"; exit 1; }
@@ -169,19 +170,20 @@ chaos-check: build
 	./target/release/dkip-sim sweep kilo cache=$(CHAOS_CHECK_DIR)/heal expect=warm \
 		> $(CHAOS_CHECK_DIR)/warm.txt
 	cmp $(CHAOS_CHECK_DIR)/warm.txt $(CHAOS_CHECK_DIR)/ref.txt
-	DKIP_FAULTS=job.panic:first2:7 ./target/release/dkip-sim sweep kilo retries=1 \
+	./target/release/dkip-sim sweep kilo retries=1 faults=job.panic:first2:7 \
 		> $(CHAOS_CHECK_DIR)/retried.txt
 	cmp $(CHAOS_CHECK_DIR)/retried.txt $(CHAOS_CHECK_DIR)/ref.txt
-	DKIP_FAULTS=store.write:1:11 ./target/release/dkip-sim sweep kilo \
+	./target/release/dkip-sim sweep kilo faults=store.write:1:11 \
 		cache=$(CHAOS_CHECK_DIR)/dead-store > $(CHAOS_CHECK_DIR)/degraded.txt
 	cmp $(CHAOS_CHECK_DIR)/degraded.txt $(CHAOS_CHECK_DIR)/ref.txt
 	./target/release/dkip-sim sweep kilo cache=$(CHAOS_CHECK_DIR)/dead-store expect=cold \
 		> /dev/null
-	DKIP_FAULTS=store.read:1:13 ./target/release/dkip-sim sweep kilo \
+	./target/release/dkip-sim sweep kilo faults=store.read:1:13 \
 		cache=$(CHAOS_CHECK_DIR)/ref > $(CHAOS_CHECK_DIR)/readfault.txt
 	cmp $(CHAOS_CHECK_DIR)/readfault.txt $(CHAOS_CHECK_DIR)/ref.txt
-	DKIP_FAULTS=store.write:1:3,metrics.write:1:5 DKIP_FUZZ_CASES=50 \
-		cargo test -q --release -p dkip --test golden_stats --test corpus_replay
+	DKIP_FAULTS=job.panic:1:0 ./target/release/dkip-sim sweep kilo \
+		> $(CHAOS_CHECK_DIR)/ambient.txt
+	cmp $(CHAOS_CHECK_DIR)/ambient.txt $(CHAOS_CHECK_DIR)/ref.txt
 	@echo "chaos-check: faults isolate, degrade caching not correctness, and heal green"
 
 ## Sampled-simulation gates: checkpoint round-trips must be bit-identical

@@ -4,10 +4,13 @@
 //! cache directory turns read-only, one job in ten thousand trips a panic —
 //! and the hardening that survives them (per-job panic isolation in
 //! [`crate::runner`], write retry/degrade in [`crate::store`]) only stays
-//! honest if something exercises those paths continuously. This module is that something: a
-//! registry of **named fault points** that the robustness-critical code
-//! consults, armed from the `DKIP_FAULTS` environment variable (or
-//! in-process via [`arm`]) and *disarmed by default*.
+//! honest if something exercises those paths continuously. This module is
+//! that something: a [`Faults`] plan of **named fault points** that the
+//! robustness-critical code consults. A plan is a value: the sweep runner
+//! ([`crate::SweepRunner::with_faults`]) and the result store
+//! ([`crate::ResultStore::with_faults`]) each carry one, `dkip-sim sweep`
+//! builds it from `faults=SPEC`, and [`Faults::default`] — what every
+//! runner and store start with — is disarmed.
 //!
 //! # Fault points
 //!
@@ -18,9 +21,9 @@
 //! | `metrics.write`  | [`crate::runner::Job::try_run`]            | the per-job metrics write fails      |
 //! | `job.panic`      | [`crate::runner::Job::try_run`]            | the job panics before simulating     |
 //!
-//! # Arming grammar
+//! # Spec grammar
 //!
-//! `DKIP_FAULTS` holds one or more comma-separated specs, each
+//! [`Faults::parse`] takes one or more comma-separated specs, each
 //! `<point>:<rate>:<seed>`:
 //!
 //! * `<point>` — a fault-point name from the table above,
@@ -31,41 +34,34 @@
 //!   `firstK`, but still required: the grammar is strict like every other
 //!   knob in this repository).
 //!
-//! For example `DKIP_FAULTS=job.panic:0.5:7,store.write:1:11` panics every
+//! For example `faults=job.panic:0.5:7,store.write:1:11` panics every
 //! other job (in consultation order) and fails every store write.
 //!
 //! # Determinism
 //!
-//! Each armed point carries an atomic consultation counter `n`; the
-//! decision for consultation `n` is a pure function of `(seed, n)`
-//! (SplitMix64, like the trace generators and the fuzzer). A
-//! single-threaded run therefore fires on exactly the same consultations
-//! every time; a multi-threaded run fires on the same *counter indices*,
-//! though which job draws which index depends on scheduling. Either way
-//! the campaign is reproducible in aggregate: same spec, same number of
-//! consultations, same number of faults.
+//! Each armed point carries an atomic consultation counter `n`, shared by
+//! every clone of the plan; the decision for consultation `n` is a pure
+//! function of `(seed, n)` (SplitMix64, like the trace generators and the
+//! fuzzer). A single-threaded run therefore fires on exactly the same
+//! consultations every time; a multi-threaded run fires on the same
+//! *counter indices*, though which job draws which index depends on
+//! scheduling. Either way the campaign is reproducible in aggregate: same
+//! spec, same number of consultations, same number of faults.
 //!
 //! # Cost when disarmed
 //!
-//! Mirroring the telemetry zero-cost contract, a disarmed fault point is
-//! one relaxed atomic load and a predictable branch — and every point
-//! sits on an I/O or per-job slow path, never in the per-cycle simulation
-//! loop, so `DKIP_FAULTS`-unset runs are observationally and (to
-//! measurement noise) temporally identical to builds without the hooks.
-//! Simulated statistics are *never* touched: an armed fault can lose a
-//! cache entry, a metrics file or a whole job, but any result that is
-//! produced at all is byte-identical to a fault-free run.
+//! Mirroring the telemetry zero-cost contract, consulting a disarmed plan
+//! is one `Option` test — and every point sits on an I/O or per-job slow
+//! path, never in the per-cycle simulation loop, so a disarmed run is
+//! observationally and (to measurement noise) temporally identical to a
+//! build without the hooks. Simulated statistics are *never* touched: an
+//! armed fault can lose a cache entry, a metrics file or a whole job, but
+//! any result that is produced at all is byte-identical to a fault-free
+//! run.
 
-use std::any::Any;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Once};
-
-/// Environment variable arming fault injection (see the module docs for
-/// the `<point>:<rate>:<seed>[,…]` grammar). Unset or empty means no
-/// faults. A malformed value panics on first consultation — an explicitly
-/// requested chaos campaign must not silently run fault-free.
-pub const FAULTS_ENV: &str = "DKIP_FAULTS";
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The prefix every injected panic message and I/O error carries, so test
 /// assertions (and humans reading a failure summary) can tell injected
@@ -86,7 +82,7 @@ pub enum FaultPoint {
 }
 
 impl FaultPoint {
-    /// Every fault point, in registry order.
+    /// Every fault point, in spec-table order.
     pub const ALL: [FaultPoint; 4] = [
         FaultPoint::StoreRead,
         FaultPoint::StoreWrite,
@@ -94,7 +90,7 @@ impl FaultPoint {
         FaultPoint::JobPanic,
     ];
 
-    /// The registry name used in `DKIP_FAULTS` specs.
+    /// The name used in fault specs.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -150,15 +146,6 @@ impl ArmedPoint {
     }
 }
 
-#[derive(Debug)]
-struct ChaosState {
-    points: [Option<ArmedPoint>; FaultPoint::ALL.len()],
-}
-
-static INIT: Once = Once::new();
-static ARMED: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<Arc<ChaosState>>> = Mutex::new(None);
-
 /// The SplitMix64 mixing function (same generator family as the vendored
 /// `rand` shim and the trace generators).
 fn splitmix64(x: u64) -> u64 {
@@ -168,63 +155,86 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Arms the registry from `DKIP_FAULTS` exactly once per process; explicit
-/// [`arm`] / [`disarm`] calls also claim the `Once`, so an in-process
-/// decision always wins over a late environment read.
-fn ensure_init() {
-    INIT.call_once(|| {
-        if let Ok(value) = std::env::var(FAULTS_ENV) {
-            if !value.trim().is_empty() {
-                set_state(parse_spec(&value).unwrap_or_else(|e| {
-                    panic!("invalid {FAULTS_ENV}={value:?}: {e}");
-                }));
+/// A fault plan: which points fire, how often, from which seed.
+///
+/// The default plan is disarmed and never fires. Cloning is cheap and
+/// shares the per-point consultation counters, so a runner and a store
+/// handed clones of one plan draw from one decision sequence, exactly as
+/// if they consulted a single plan.
+#[derive(Debug, Clone, Default)]
+pub struct Faults {
+    points: Option<Arc<[Option<ArmedPoint>; FaultPoint::ALL.len()]>>,
+}
+
+impl Faults {
+    /// Parses a comma-separated `<point>:<rate>:<seed>[,…]` spec (see the
+    /// module docs).
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message for an empty spec, a stray comma, an
+    /// unknown or repeated point, a rate outside `[0, 1]` or not `firstK`,
+    /// or a seed that is not an unsigned integer.
+    pub fn parse(spec: &str) -> Result<Faults, String> {
+        let mut points: [Option<ArmedPoint>; FaultPoint::ALL.len()] = Default::default();
+        for part in spec.split(',') {
+            let part = part.trim();
+            if part.is_empty() {
+                return Err("empty fault spec (stray comma?)".to_owned());
             }
+            let fields: Vec<&str> = part.split(':').collect();
+            let [name, rate, seed] = fields.as_slice() else {
+                return Err(format!(
+                    "malformed fault spec {part:?}: expected <point>:<rate>:<seed>"
+                ));
+            };
+            let point = FaultPoint::parse(name.trim()).ok_or_else(|| {
+                let known: Vec<&str> = FaultPoint::ALL.iter().map(|p| p.name()).collect();
+                format!(
+                    "unknown fault point {name:?}: expected one of {}",
+                    known.join(", ")
+                )
+            })?;
+            let rate = parse_rate(rate.trim())?;
+            let seed = seed.trim().parse::<u64>().map_err(|_| {
+                format!("invalid fault seed {seed:?}: expected an unsigned integer")
+            })?;
+            let slot = &mut points[point.index()];
+            if slot.is_some() {
+                return Err(format!("duplicate fault point {:?}", point.name()));
+            }
+            *slot = Some(ArmedPoint {
+                rate,
+                seed,
+                counter: AtomicU64::new(0),
+            });
         }
-    });
-}
-
-fn set_state(state: ChaosState) {
-    *STATE.lock().expect("chaos registry poisoned") = Some(Arc::new(state));
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Parses a full `DKIP_FAULTS` value (comma-separated specs).
-fn parse_spec(value: &str) -> Result<ChaosState, String> {
-    let mut points: [Option<ArmedPoint>; FaultPoint::ALL.len()] = Default::default();
-    for part in value.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err("empty fault spec (stray comma?)".to_owned());
-        }
-        let fields: Vec<&str> = part.split(':').collect();
-        let [name, rate, seed] = fields.as_slice() else {
-            return Err(format!(
-                "malformed fault spec {part:?}: expected <point>:<rate>:<seed>"
-            ));
-        };
-        let point = FaultPoint::parse(name.trim()).ok_or_else(|| {
-            let known: Vec<&str> = FaultPoint::ALL.iter().map(|p| p.name()).collect();
-            format!(
-                "unknown fault point {name:?}: expected one of {}",
-                known.join(", ")
-            )
-        })?;
-        let rate = parse_rate(rate.trim())?;
-        let seed = seed
-            .trim()
-            .parse::<u64>()
-            .map_err(|_| format!("invalid fault seed {seed:?}: expected an unsigned integer"))?;
-        let slot = &mut points[point.index()];
-        if slot.is_some() {
-            return Err(format!("duplicate fault point {:?}", point.name()));
-        }
-        *slot = Some(ArmedPoint {
-            rate,
-            seed,
-            counter: AtomicU64::new(0),
-        });
+        Ok(Faults {
+            points: Some(Arc::new(points)),
+        })
     }
-    Ok(ChaosState { points })
+
+    /// Consults a fault point: `true` means "inject the fault now". A
+    /// disarmed plan answers after one `Option` test.
+    #[must_use]
+    pub fn fire(&self, point: FaultPoint) -> bool {
+        self.points
+            .as_ref()
+            .is_some_and(|points| points[point.index()].as_ref().is_some_and(ArmedPoint::fire))
+    }
+
+    /// Consults a fault point and renders a firing as an injected I/O error
+    /// (an `ENOSPC`-like "device out of space"), for the store/metrics write
+    /// paths. `None` means "proceed normally".
+    #[must_use]
+    pub fn fail_io(&self, point: FaultPoint) -> Option<io::Error> {
+        self.fire(point).then(|| {
+            io::Error::other(format!(
+                "{CHAOS_TAG}: injected {} fault (device out of space)",
+                point.name()
+            ))
+        })
+    }
 }
 
 fn parse_rate(text: &str) -> Result<Rate, String> {
@@ -243,175 +253,101 @@ fn parse_rate(text: &str) -> Result<Rate, String> {
     Ok(Rate::Prob(p))
 }
 
-/// Whether any fault point is armed. One relaxed load when disarmed.
-#[must_use]
-pub fn armed() -> bool {
-    ensure_init();
-    ARMED.load(Ordering::Acquire)
-}
-
-/// Consults a fault point: `true` means "inject the fault now".
-///
-/// Disarmed (the default), this is a `Once` fast-path check plus one
-/// relaxed atomic load — cheap enough for any I/O or per-job path, and
-/// deliberately kept off the per-cycle simulation loop.
-#[must_use]
-pub fn should_fire(point: FaultPoint) -> bool {
-    if !armed() {
-        return false;
-    }
-    let state = STATE.lock().expect("chaos registry poisoned").clone();
-    state
-        .and_then(|s| s.points[point.index()].as_ref().map(ArmedPoint::fire))
-        .unwrap_or(false)
-}
-
-/// Consults a fault point and renders a firing as an injected I/O error
-/// (an `ENOSPC`-like "device out of space"), for the store/metrics write
-/// paths. `None` means "proceed normally".
-#[must_use]
-pub fn fail_io(point: FaultPoint) -> Option<io::Error> {
-    should_fire(point).then(|| {
-        io::Error::other(format!(
-            "{CHAOS_TAG}: injected {} fault (device out of space)",
-            point.name()
-        ))
-    })
-}
-
-/// Arms the registry in-process, replacing any previous arming (and
-/// pre-empting any later `DKIP_FAULTS` read). `spec` uses the
-/// `DKIP_FAULTS` grammar. Tests use this because the registry is read
-/// lazily and process-wide; operators use `DKIP_FAULTS`.
-///
-/// # Errors
-///
-/// Returns a human-readable message for a malformed spec (and leaves the
-/// previous arming in place).
-pub fn arm(spec: &str) -> Result<(), String> {
-    INIT.call_once(|| {});
-    set_state(parse_spec(spec)?);
-    Ok(())
-}
-
-/// Disarms every fault point (and pre-empts any later `DKIP_FAULTS` read).
-pub fn disarm() {
-    INIT.call_once(|| {});
-    ARMED.store(false, Ordering::Release);
-    *STATE.lock().expect("chaos registry poisoned") = None;
-}
-
-/// Renders a caught panic payload as a human-readable message — the
-/// `&str`/`String` payloads `panic!` produces, or a placeholder for
-/// anything else. Used by the runner's per-job isolation.
-#[must_use]
-pub fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_owned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // These unit tests deliberately never call `arm`: the registry is
-    // process-global and the test harness runs the other modules' unit
-    // tests concurrently in this same process, so arming here would make
-    // an unrelated runner/store test trip an injected fault. Decision
-    // logic is tested on `ArmedPoint` directly; the armed end-to-end
-    // behaviour lives in `tests/chaos.rs`, where every test serialises on
-    // one lock.
-    fn armed(spec: &str, point: FaultPoint) -> ArmedPoint {
-        let mut state = parse_spec(spec).expect("valid spec");
-        state.points[point.index()].take().expect("point armed")
+    fn plan(spec: &str) -> Faults {
+        Faults::parse(spec).expect("valid spec")
+    }
+
+    fn draws(faults: &Faults, point: FaultPoint, n: usize) -> Vec<bool> {
+        (0..n).map(|_| faults.fire(point)).collect()
     }
 
     #[test]
     fn disarmed_points_never_fire() {
+        let disarmed = Faults::default();
+        assert!(disarmed.points.is_none());
         for point in FaultPoint::ALL {
-            assert!(!should_fire(point));
-            assert!(fail_io(point).is_none());
+            assert!(!disarmed.fire(point));
+            assert!(disarmed.fail_io(point).is_none());
         }
-        assert!(!super::armed());
+        // An armed plan leaves the points it does not name alone.
+        let armed = plan("job.panic:1:0");
+        assert!(!armed.fire(FaultPoint::StoreWrite));
+        let injected = armed
+            .fail_io(FaultPoint::JobPanic)
+            .expect("armed point fires");
+        assert!(injected.to_string().contains(CHAOS_TAG));
     }
 
     #[test]
     fn rate_one_always_fires_and_rate_zero_never_does() {
-        let always = armed("job.panic:1:7", FaultPoint::JobPanic);
-        let never = armed("store.read:0:7", FaultPoint::StoreRead);
+        let faults = plan("job.panic:1:7,store.read:0:7");
         for _ in 0..64 {
-            assert!(always.fire());
-            assert!(!never.fire());
+            assert!(faults.fire(FaultPoint::JobPanic));
+            assert!(!faults.fire(FaultPoint::StoreRead));
         }
     }
 
     #[test]
     fn first_k_rates_fire_exactly_k_times() {
-        let point = armed("store.write:first2:0", FaultPoint::StoreWrite);
-        let fired: Vec<bool> = (0..5).map(|_| point.fire()).collect();
-        assert_eq!(fired, vec![true, true, false, false, false]);
+        let faults = plan("store.write:first2:0");
+        assert_eq!(
+            draws(&faults, FaultPoint::StoreWrite, 5),
+            vec![true, true, false, false, false]
+        );
+    }
+
+    #[test]
+    fn clones_share_one_decision_sequence() {
+        let faults = plan("job.panic:first3:0");
+        let clone = faults.clone();
+        assert!(faults.fire(FaultPoint::JobPanic));
+        assert!(clone.fire(FaultPoint::JobPanic));
+        assert!(faults.fire(FaultPoint::JobPanic));
+        assert!(!clone.fire(FaultPoint::JobPanic), "the clone drew the 4th");
+        // A fresh parse of the same spec starts its own sequence.
+        assert!(plan("job.panic:first3:0").fire(FaultPoint::JobPanic));
     }
 
     #[test]
     fn probabilistic_rates_are_seed_deterministic_and_roughly_calibrated() {
-        let a: Vec<bool> = {
-            let p = armed("job.panic:0.5:42", FaultPoint::JobPanic);
-            (0..256).map(|_| p.fire()).collect()
-        };
-        let b: Vec<bool> = {
-            let p = armed("job.panic:0.5:42", FaultPoint::JobPanic);
-            (0..256).map(|_| p.fire()).collect()
-        };
+        let a = draws(&plan("job.panic:0.5:42"), FaultPoint::JobPanic, 256);
+        let b = draws(&plan("job.panic:0.5:42"), FaultPoint::JobPanic, 256);
         assert_eq!(a, b, "same seed, same consultation order, same decisions");
         let fired = a.iter().filter(|&&f| f).count();
         assert!((64..192).contains(&fired), "p=0.5 fired {fired}/256");
-        let c: Vec<bool> = {
-            let p = armed("job.panic:0.5:43", FaultPoint::JobPanic);
-            (0..256).map(|_| p.fire()).collect()
-        };
+        let c = draws(&plan("job.panic:0.5:43"), FaultPoint::JobPanic, 256);
         assert_ne!(a, c, "a different seed draws a different pattern");
     }
 
     #[test]
     fn specs_parse_strictly() {
-        assert!(parse_spec("job.panic:1:0").is_ok());
-        assert!(parse_spec("job.panic:first3:0,store.read:0.25:9").is_ok());
-        assert!(parse_spec("").is_err());
-        assert!(parse_spec("job.panic:1").is_err(), "seed is mandatory");
-        assert!(parse_spec("job.panic:1:0:9").is_err());
-        assert!(parse_spec("job.reboot:1:0").is_err(), "unknown point");
-        assert!(parse_spec("job.panic:1.5:0").is_err(), "rate > 1");
-        assert!(parse_spec("job.panic:-0.1:0").is_err());
-        assert!(parse_spec("job.panic:firstx:0").is_err());
-        assert!(parse_spec("job.panic:1:zebra").is_err());
+        assert!(Faults::parse("job.panic:1:0").is_ok());
+        assert!(Faults::parse("job.panic:first3:0,store.read:0.25:9").is_ok());
+        assert!(Faults::parse("").is_err());
+        assert!(Faults::parse("job.panic:1").is_err(), "seed is mandatory");
+        assert!(Faults::parse("job.panic:1:0:9").is_err());
+        assert!(Faults::parse("job.reboot:1:0").is_err(), "unknown point");
+        assert!(Faults::parse("job.panic:1.5:0").is_err(), "rate > 1");
+        assert!(Faults::parse("job.panic:-0.1:0").is_err());
+        assert!(Faults::parse("job.panic:firstx:0").is_err());
+        assert!(Faults::parse("job.panic:1:zebra").is_err());
         assert!(
-            parse_spec("job.panic:1:0,job.panic:1:1").is_err(),
+            Faults::parse("job.panic:1:0,job.panic:1:1").is_err(),
             "duplicate point"
         );
-        assert!(parse_spec("job.panic:1:0,").is_err(), "stray comma");
+        assert!(Faults::parse("job.panic:1:0,").is_err(), "stray comma");
     }
 
     #[test]
     fn every_point_name_round_trips() {
         for point in FaultPoint::ALL {
             assert_eq!(FaultPoint::parse(point.name()), Some(point));
-            assert!(parse_spec(&format!("{}:1:0", point.name())).is_ok());
+            assert!(plan(&format!("{}:1:0", point.name())).fire(point));
         }
         assert_eq!(FaultPoint::parse("store.reboot"), None);
-    }
-
-    #[test]
-    fn panic_messages_render_str_string_and_other() {
-        let a: Box<dyn Any + Send> = Box::new("static message");
-        let b: Box<dyn Any + Send> = Box::new("owned".to_owned());
-        let c: Box<dyn Any + Send> = Box::new(42_u32);
-        assert_eq!(panic_message(a.as_ref()), "static message");
-        assert_eq!(panic_message(b.as_ref()), "owned");
-        assert_eq!(panic_message(c.as_ref()), "<non-string panic payload>");
     }
 }

@@ -9,7 +9,7 @@
 //! dkip-sim timeseries <baseline|kilo|dkip> <workload> [budget=N]
 //!                     [metrics=PATH:INTERVAL] [trace=PATH[:OPS]]
 //! dkip-sim sweep <suite> [budget=N] [threads=N] [cache=DIR] [shard=I/N]
-//!                     [expect=cold|warm] [retries=N]
+//!                     [expect=cold|warm] [retries=N] [faults=SPEC]
 //! ```
 //!
 //! One grammar serves all three subcommands: the positional subjects, then
@@ -29,7 +29,9 @@
 //!   - `threads=N` sizes the worker pool (default: the host's available
 //!     parallelism);
 //!   - `sample=P:U:W` simulates every job sampled at that
-//!     `period:warmup:window` rate (default: exact);
+//!     `period:warmup:window` rate (default: exact). `fig03`, `fig13` and
+//!     `fig14` refuse it: a sampled run keeps only its committed and cycle
+//!     counts, so their histogram and maxima would print zeros;
 //!   - `metrics=PATH:INTERVAL` writes an interval-metrics time series per
 //!     job, with a per-job tag inserted before the extension;
 //!   - `cache=DIR` serves and populates the content-addressed result store
@@ -53,9 +55,13 @@
 //!   `retries=N` extra rounds (default 2) with bounded backoff; jobs still
 //!   failing are summarised on stderr and the sweep exits 1, without
 //!   discarding the completed work, which is checkpointed and cached.
+//!   `faults=SPEC` arms deterministic fault injection for the campaign
+//!   (the [`Faults::parse`] grammar, `<point>:<rate>:<seed>[,…]`): one
+//!   plan is shared by the runner and the store, so its consultation
+//!   counters run on across retry rounds. A malformed spec exits 2 before
+//!   any job runs.
 //!
-//! The one environment variable a `dkip-sim` run reads is `DKIP_FAULTS`,
-//! which arms the chaos fault points ([`crate::chaos`]).
+//! No environment variable changes what a `dkip-sim` run does.
 
 use std::process::ExitCode;
 use std::sync::Mutex;
@@ -65,6 +71,7 @@ use dkip_model::config::{BaselineConfig, DkipConfig, KiloConfig, MemoryHierarchy
 use dkip_model::{MetricsConfig, SampleConfig, Telemetry, TraceConfig};
 use dkip_trace::Suite;
 
+use crate::chaos::Faults;
 use crate::experiments::{self, DEFAULT_BUDGET, RISCV_BUDGET, SEED};
 use crate::runner::{results_to_kv, JobFailure};
 use crate::store::{ResultStore, ShardSpec, SweepCheckpoint};
@@ -76,22 +83,29 @@ use crate::{figure11_l2_sizes_kb, figure_benchmarks, Job, JobResult, Machine, Sw
 pub const USAGE: &str = "usage: dkip-sim <subcommand> <subjects> [options]
   fig <name> [budget=N] [full] [threads=N] [sample=P:U:W] [metrics=PATH:INTERVAL] [cache=DIR] [expect=cold|warm]
       names: table1 table2_3 fig01 fig02 fig03 fig09 fig10 fig11 fig12 fig13 fig14 riscv
-      (table1 and table2_3 take no options; riscv takes no 'full')
+      (table1 and table2_3 take no options; riscv takes no 'full';
+       fig03, fig13 and fig14 are exact-only and take no 'sample=')
   timeseries <baseline|kilo|dkip> <workload> [budget=N] [metrics=PATH:INTERVAL] [trace=PATH[:OPS]]
-  sweep <suite> [budget=N] [threads=N] [cache=DIR] [shard=I/N] [expect=cold|warm] [retries=N]
+  sweep <suite> [budget=N] [threads=N] [cache=DIR] [shard=I/N] [expect=cold|warm] [retries=N] [faults=SPEC]
       suites: baseline | kilo | dkip | riscv | all
-environment: DKIP_FAULTS (chaos fault points)";
+      faults: <point>:<rate>:<seed>[,...], point store.read|store.write|metrics.write|job.panic,
+              rate a probability or firstK";
 
 /// The options of the simulating figures.
 pub(crate) const FIG_OPTIONS: &[&str] = &[
     "budget", "full", "threads", "sample", "metrics", "cache", "expect",
 ];
+/// The figures that print a histogram or maxima, which a sampled run does
+/// not keep: no `sample`.
+pub(crate) const EXACT_FIG_OPTIONS: &[&str] =
+    &["budget", "full", "threads", "metrics", "cache", "expect"];
 /// `riscv` runs the kernels, not a SPEC suite, so `full` means nothing.
 pub(crate) const RISCV_OPTIONS: &[&str] =
     &["budget", "threads", "sample", "metrics", "cache", "expect"];
 pub(crate) const TIMESERIES_OPTIONS: &[&str] = &["budget", "metrics", "trace"];
-pub(crate) const SWEEP_OPTIONS: &[&str] =
-    &["budget", "threads", "cache", "shard", "expect", "retries"];
+pub(crate) const SWEEP_OPTIONS: &[&str] = &[
+    "budget", "threads", "cache", "shard", "expect", "retries", "faults",
+];
 
 /// Runs one command line (the arguments after the program name).
 ///
@@ -149,6 +163,7 @@ pub(crate) struct Options {
     pub(crate) expect: Option<Expect>,
     pub(crate) shard: Option<ShardSpec>,
     pub(crate) retries: Option<usize>,
+    pub(crate) faults: Faults,
 }
 
 impl Options {
@@ -219,6 +234,7 @@ impl Options {
                     let retries = value.trim().parse();
                     options.retries = Some(retries.map_err(|_| invalid(&"expected an integer"))?);
                 }
+                "faults" => options.faults = Faults::parse(value).map_err(|e| invalid(&e))?,
                 _ => unreachable!("every allowed option is parsed"),
             }
         }
@@ -233,11 +249,13 @@ impl Options {
 
     /// The sweep runner these options describe: `threads=` workers (default:
     /// the host's parallelism) carrying `sample=` and `metrics=` to every
-    /// job, with the `cache=` store attached.
+    /// job, with the `cache=` store attached. The `faults=` plan (disarmed
+    /// unless given) goes to both the runner and the store.
     pub(crate) fn runner(&self) -> Result<SweepRunner, String> {
         let mut runner = self
             .threads
-            .map_or_else(SweepRunner::host, SweepRunner::new);
+            .map_or_else(SweepRunner::host, SweepRunner::new)
+            .with_faults(self.faults.clone());
         if let Some(rate) = self.sample {
             runner = runner.with_sample(rate);
         }
@@ -246,7 +264,7 @@ impl Options {
         }
         match &self.cache {
             Some(dir) => match ResultStore::open(dir) {
-                Ok(store) => Ok(runner.with_store(store)),
+                Ok(store) => Ok(runner.with_store(store.with_faults(self.faults.clone()))),
                 Err(e) => Err(format!("invalid cache={dir:?}: cannot open store: {e}")),
             },
             None if self.expect.is_some() || self.shard.is_some() => {
@@ -304,7 +322,7 @@ pub(crate) const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "fig03",
-        options: FIG_OPTIONS,
+        options: EXACT_FIG_OPTIONS,
         print: print_issue_histogram,
     },
     Figure {
@@ -340,12 +358,12 @@ pub(crate) const FIGURES: &[Figure] = &[
     },
     Figure {
         name: "fig13",
-        options: FIG_OPTIONS,
+        options: EXACT_FIG_OPTIONS,
         print: |o, r| print_llib_occupancy(Suite::Int, o, r),
     },
     Figure {
         name: "fig14",
-        options: FIG_OPTIONS,
+        options: EXACT_FIG_OPTIONS,
         print: |o, r| print_llib_occupancy(Suite::Fp, o, r),
     },
     Figure {
@@ -507,7 +525,9 @@ fn cmd_timeseries(family: &str, workload: &str, options: &Options) -> Result<Exi
     let mem = MemoryHierarchyConfig::mem_400();
     let mut telemetry = Telemetry::from_configs(options.metrics.as_ref(), options.trace.as_ref());
     let mut stream = workload.stream(SEED);
-    let stats = machine.simulate_stream_probed(&mem, &mut stream, budget, Some(&mut telemetry));
+    let stats = machine
+        .build(&mem)
+        .run_probed(&mut stream, budget, Some(&mut telemetry));
     if let Err(err) = telemetry.write_files() {
         eprintln!("cannot write telemetry output: {err}");
         return Ok(ExitCode::FAILURE);
@@ -691,6 +711,9 @@ mod tests {
             (&["fig", "riscv", "full"], "does not take"),
             (&["fig", "table1", "budget=5"], "does not take"),
             (&["fig", "table2_3", "threads=2"], "does not take"),
+            (&["fig", "fig03", "sample=20000:2000:2000"], "does not take"),
+            (&["fig", "fig13", "sample=20000:2000:2000"], "does not take"),
+            (&["fig", "fig14", "sample=20000:2000:2000"], "does not take"),
             (&["timeseries", "dkip", "gcc", "threads=2"], "does not take"),
             (&["timeseries", "dkip", "gcc", "cache=d"], "does not take"),
             (&["sweep"], "suite"),
@@ -701,6 +724,12 @@ mod tests {
             (&["sweep", "kilo", "shard=2/2"], "shard"),
             (&["sweep", "kilo", "shard=0/2"], "cache=DIR"),
             (&["sweep", "kilo", "retries=-1"], "retries"),
+            (&["sweep", "kilo", "faults="], "faults"),
+            (&["sweep", "kilo", "faults=job.reboot:1:0"], "job.reboot"),
+            (&["sweep", "kilo", "faults=job.panic:1"], "faults"),
+            (&["sweep", "kilo", "faults=job.panic:1:0,"], "faults"),
+            (&["fig", "fig09", "faults=job.panic:1:0"], "does not take"),
+            (&["timeseries", "dkip", "gcc", "faults=x"], "does not take"),
         ];
         for (args, needle) in refused {
             let message = refusal(args);

@@ -32,10 +32,11 @@
 //!   cacheable [`Job`] derives a stable config key, and the runner serves
 //!   hits byte-identically instead of re-simulating (the `cache=` option
 //!   selects the store directory),
-//! * [`chaos`] — deterministic fault injection (`DKIP_FAULTS`): named
-//!   fault points on the store and runner I/O paths that chaos
-//!   campaigns arm to exercise the failure handling, and that cost one
-//!   disarmed branch otherwise,
+//! * [`chaos`] — deterministic fault injection: a [`chaos::Faults`] plan
+//!   (`dkip-sim sweep … faults=SPEC`) that the runner and store carry and
+//!   consult at named fault points on their per-job and I/O paths, to
+//!   exercise the failure handling; disarmed by default, it costs one
+//!   `Option` test,
 //! * [`golden`] — golden-snapshot comparison for the regression tests under
 //!   `tests/golden/`, with a `DKIP_BLESS=1` regeneration path,
 //! * [`suites`] — the pinned job lists behind those snapshots, shared by the

@@ -21,16 +21,18 @@
 //!
 //! Jobs are failure-isolated: each one runs under `catch_unwind`, so a
 //! panicking simulation point becomes a recorded [`JobFailure`] in the
-//! [`SweepReport`] instead of aborting the whole sweep (see the
-//! [`crate::chaos`] fault points that exercise this continuously).
+//! [`SweepReport`] instead of aborting the whole sweep. A runner carrying
+//! an armed [`Faults`] plan ([`SweepRunner::with_faults`]) exercises this
+//! with injected failures.
 
+use std::any::Any;
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::chaos::{self, FaultPoint};
+use crate::chaos::{FaultPoint, Faults, CHAOS_TAG};
 use crate::store::{ResultStore, StoredResult};
 use crate::workload::Workload;
 use dkip_core::DkipProcessor;
@@ -123,7 +125,7 @@ impl Machine {
     /// [`Machine::simulate`] funnels through this; the differential-fuzz
     /// harness ([`crate::fuzz`]) calls it directly so a generated program's
     /// [`dkip_riscv::RiscvStream`] can be inspected (final emulator state)
-    /// after the core drains it.
+    /// after the core drains it. Probed runs call `build(mem).run_probed`.
     #[must_use]
     pub fn simulate_stream(
         &self,
@@ -131,23 +133,7 @@ impl Machine {
         stream: &mut dyn Iterator<Item = dkip_model::MicroOp>,
         budget: u64,
     ) -> SimStats {
-        self.simulate_stream_probed(mem, stream, budget, None)
-    }
-
-    /// [`Machine::simulate_stream`] with an optional telemetry sink
-    /// attached. `None` is the exact path the plain entry point takes, so a
-    /// detached probe is bit-identical to not probing at all; a sink
-    /// collects interval metrics and/or a Konata/O3PipeView pipeline trace
-    /// without perturbing the simulated statistics.
-    #[must_use]
-    pub fn simulate_stream_probed(
-        &self,
-        mem: &MemoryHierarchyConfig,
-        stream: &mut dyn Iterator<Item = dkip_model::MicroOp>,
-        budget: u64,
-        probe: Option<&mut Telemetry>,
-    ) -> SimStats {
-        self.build(mem).run_probed(stream, budget, probe)
+        self.build(mem).run(stream, budget)
     }
 }
 
@@ -342,10 +328,11 @@ impl Job {
     ///
     /// Panics on any [`Job::try_run`] error — a metrics file that cannot
     /// be written, in practice. Sweep callers go through the runner, which
-    /// records failures instead (see [`SweepReport::failures`]).
+    /// records failures instead (see [`SweepReport::failures`]). No fault
+    /// is ever injected here: the plan is [`Faults::default`].
     #[must_use]
     pub fn run(&self) -> JobResult {
-        self.try_run()
+        self.try_run(&Faults::default())
             .unwrap_or_else(|e| panic!("job {:?} failed: {e}", self.label))
     }
 
@@ -354,7 +341,7 @@ impl Job {
     ///
     /// Today the only recoverable failure is a per-job metrics file that
     /// cannot be written: the simulation itself is deterministic and
-    /// in-memory. The [`chaos`] fault points `job.panic` (an injected
+    /// in-memory. The `faults` plan's points `job.panic` (an injected
     /// panic, exercising the runner's `catch_unwind` isolation) and
     /// `metrics.write` (an injected write error) both land here.
     ///
@@ -369,18 +356,14 @@ impl Job {
     /// Panics when both sampling and interval metrics are requested (the
     /// fast-forwarded gaps of a sampled run have no cycle-accurate state to
     /// report): that is a configuration error, not a runtime fault.
-    pub fn try_run(&self) -> Result<JobResult, String> {
+    pub fn try_run(&self, faults: &Faults) -> Result<JobResult, String> {
         let start = Instant::now();
         assert!(
             self.sample.is_none() || self.metrics.is_none(),
             "interval metrics require exact simulation: a job cannot be both sampled and probed"
         );
-        if chaos::should_fire(FaultPoint::JobPanic) {
-            panic!(
-                "{}: injected job.panic fault ({})",
-                chaos::CHAOS_TAG,
-                self.label
-            );
+        if faults.fire(FaultPoint::JobPanic) {
+            panic!("{CHAOS_TAG}: injected job.panic fault ({})", self.label);
         }
         let (stats, covered) = match &self.sample {
             None => {
@@ -393,13 +376,12 @@ impl Job {
                         let per_job = metrics.for_job(&self.metrics_tag());
                         let mut telemetry = Telemetry::from_configs(Some(&per_job), None);
                         let mut stream = self.workload.stream(self.seed);
-                        let stats = self.machine.simulate_stream_probed(
-                            &self.mem,
+                        let stats = self.machine.build(&self.mem).run_probed(
                             &mut stream,
                             self.budget,
                             Some(&mut telemetry),
                         );
-                        match chaos::fail_io(FaultPoint::MetricsWrite) {
+                        match faults.fail_io(FaultPoint::MetricsWrite) {
                             Some(injected) => Err(injected),
                             None => telemetry.write_files(),
                         }
@@ -452,8 +434,8 @@ pub struct JobFailure {
     pub label: String,
     /// The failed job's simulation point ([`Job::describe`]).
     pub job: String,
-    /// What went wrong: the panic payload (rendered via
-    /// [`chaos::panic_message`]) or the [`Job::try_run`] error.
+    /// What went wrong: the rendered panic payload or the [`Job::try_run`]
+    /// error.
     pub message: String,
 }
 
@@ -645,6 +627,7 @@ pub struct SweepRunner {
     store: Option<ResultStore>,
     sample: Option<SampleConfig>,
     metrics: Option<MetricsConfig>,
+    faults: Faults,
 }
 
 impl SweepRunner {
@@ -657,6 +640,7 @@ impl SweepRunner {
             store: None,
             sample: None,
             metrics: None,
+            faults: Faults::default(),
         }
     }
 
@@ -720,6 +704,16 @@ impl SweepRunner {
     #[must_use]
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = Some(metrics);
+        self
+    }
+
+    /// Returns a copy that consults `faults` for the `job.panic` and
+    /// `metrics.write` fault points of every job it runs. The attached
+    /// store consults its own plan ([`ResultStore::with_faults`]); hand
+    /// both clones of one plan to draw from one decision sequence.
+    #[must_use]
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
         self
     }
 
@@ -798,7 +792,7 @@ impl SweepRunner {
                             }
                             None => {
                                 misses.fetch_add(1, Ordering::Relaxed);
-                                let result = job.try_run()?;
+                                let result = job.try_run(&self.faults)?;
                                 // A failed write is not a job failure: the
                                 // result is correct, only uncached. The
                                 // store retries, then logs its own
@@ -814,7 +808,7 @@ impl SweepRunner {
                         } else {
                             misses.fetch_add(1, Ordering::Relaxed);
                         }
-                        job.try_run()
+                        job.try_run(&self.faults)
                     }
                 }
             }));
@@ -826,7 +820,7 @@ impl SweepRunner {
                     return Some(result);
                 }
                 Ok(Err(message)) => message,
-                Err(payload) => format!("panicked: {}", chaos::panic_message(payload.as_ref())),
+                Err(payload) => format!("panicked: {}", panic_message(payload.as_ref())),
             };
             failures.lock().expect("runner poisoned").push(JobFailure {
                 index: idx,
@@ -879,6 +873,19 @@ impl SweepRunner {
     #[must_use]
     pub fn run_stats(&self, jobs: &[Job]) -> Vec<SimStats> {
         self.run(jobs).into_iter().map(|r| r.stats).collect()
+    }
+}
+
+/// Renders a caught panic payload as a human-readable message — the
+/// `&str`/`String` payloads `panic!` produces, or a placeholder for
+/// anything else — for organic and injected job panics alike.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string panic payload>".to_owned()
     }
 }
 
@@ -1191,5 +1198,15 @@ mod tests {
         assert_eq!(SweepRunner::parse_threads("0"), None);
         assert_eq!(SweepRunner::parse_threads("eight"), None);
         assert_eq!(SweepRunner::parse_threads(""), None);
+    }
+
+    #[test]
+    fn panic_messages_render_str_string_and_other() {
+        let a: Box<dyn Any + Send> = Box::new("static message");
+        let b: Box<dyn Any + Send> = Box::new("owned".to_owned());
+        let c: Box<dyn Any + Send> = Box::new(42_u32);
+        assert_eq!(panic_message(a.as_ref()), "static message");
+        assert_eq!(panic_message(b.as_ref()), "owned");
+        assert_eq!(panic_message(c.as_ref()), "<non-string panic payload>");
     }
 }

@@ -46,8 +46,9 @@
 //! mid-sweep — trips a degraded flag: one stderr notice, then every later
 //! insert becomes a silent no-op and the sweep keeps computing uncached.
 //! Reads are never retried; an unreadable entry is just a miss, and the
-//! job recomputes. The [`crate::chaos`] fault points `store.write` and
-//! `store.read` inject exactly these failures so `make chaos-check` can
+//! job recomputes. A store carrying an armed [`Faults`] plan
+//! ([`ResultStore::with_faults`]) injects exactly these failures at its
+//! `store.write` and `store.read` fault points, so `make chaos-check` can
 //! prove the degraded paths still produce byte-identical results.
 
 use std::collections::BTreeSet;
@@ -58,7 +59,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::chaos::{self, FaultPoint};
+use crate::chaos::{FaultPoint, Faults};
 use dkip_model::{key_digest, SimStats};
 
 /// Manually bumped whenever simulated results change without any config
@@ -99,6 +100,7 @@ pub struct ResultStore {
     misses: Arc<AtomicU64>,
     write_errors: Arc<AtomicU64>,
     degraded: Arc<AtomicBool>,
+    faults: Faults,
 }
 
 impl ResultStore {
@@ -119,7 +121,17 @@ impl ResultStore {
             misses: Arc::new(AtomicU64::new(0)),
             write_errors: Arc::new(AtomicU64::new(0)),
             degraded: Arc::new(AtomicBool::new(false)),
+            faults: Faults::default(),
         })
+    }
+
+    /// Returns a copy that consults `faults` at its `store.read` (a lookup
+    /// turns into a miss) and `store.write` (a write attempt fails)
+    /// fault points. A store opens disarmed.
+    #[must_use]
+    pub fn with_faults(mut self, faults: Faults) -> Self {
+        self.faults = faults;
+        self
     }
 
     /// The code-version salt prefixed to every key text before hashing.
@@ -181,7 +193,7 @@ impl ResultStore {
     /// misses — the caller recomputes and rewrites them.
     #[must_use]
     pub fn lookup(&self, key: &str) -> Option<StoredResult> {
-        if chaos::should_fire(FaultPoint::StoreRead) {
+        if self.faults.fire(FaultPoint::StoreRead) {
             // An injected unreadable entry: a miss, exactly like the real
             // read error below — the caller recomputes.
             self.misses.fetch_add(1, Ordering::Relaxed);
@@ -308,7 +320,7 @@ impl ResultStore {
 
     /// One write attempt: the unretried body of [`ResultStore::insert`].
     fn try_insert(&self, key: &str, stats: &SimStats, covered: u64) -> io::Result<()> {
-        if let Some(injected) = chaos::fail_io(FaultPoint::StoreWrite) {
+        if let Some(injected) = self.faults.fail_io(FaultPoint::StoreWrite) {
             return Err(injected);
         }
         let path = self.entry_path(key);

@@ -1,5 +1,6 @@
 //! Chaos-engineering contract tests: deterministic fault injection
-//! (`dkip::sim::chaos`) against the runner and store hardening.
+//! (`dkip::sim::chaos::Faults` plans) against the runner and store
+//! hardening.
 //!
 //! The invariants under test, shared with `make chaos-check`:
 //!
@@ -11,37 +12,27 @@
 //! * disarming heals: a fault-free re-run over the same store converges
 //!   to a fully green, fully warm, byte-identical sweep.
 //!
-//! Every test serialises on one lock: the chaos registry is process-wide,
-//! so an armed fault in one test must not leak into another running
-//! concurrently. Runners are serial so fault-consultation order (and
-//! therefore `firstK` behaviour) is deterministic.
+//! A fault plan is a value carried by the runner and the store that were
+//! handed it, so the tests run concurrently: an armed plan in one test
+//! cannot reach another test's sweep. Runners are serial so
+//! fault-consultation order (and therefore `firstK` behaviour) is
+//! deterministic.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::process::ExitCode;
 
-use dkip::sim::chaos;
+use dkip::sim::chaos::{self, FaultPoint, Faults};
 use dkip::sim::runner::results_to_kv;
 use dkip::sim::store::ResultStore;
-use dkip::sim::{suites, Job, SweepRunner};
+use dkip::sim::{cli, suites, Job, JobResult, SweepRunner};
 
-/// Serialises every test in this binary: chaos arming is process-global.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Disarms on drop, so a failing assertion cannot leave faults armed for
-/// the next test.
-struct Armed;
-
-impl Armed {
-    fn arm(spec: &str) -> Armed {
-        chaos::arm(spec).expect("valid fault spec");
-        Armed
-    }
+fn faults(spec: &str) -> Faults {
+    Faults::parse(spec).expect("valid fault spec")
 }
 
-impl Drop for Armed {
-    fn drop(&mut self) {
-        chaos::disarm();
-    }
+/// A serial runner consulting `spec`.
+fn armed_runner(spec: &str) -> SweepRunner {
+    SweepRunner::serial().with_faults(faults(spec))
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -76,13 +67,9 @@ fn files_containing(dir: &PathBuf, needle: &str) -> usize {
 
 #[test]
 fn injected_job_panics_are_isolated_and_reported() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let jobs = kilo_jobs(1_000);
     let reference = results_to_kv(&SweepRunner::serial().run(&jobs));
-    let report = {
-        let _armed = Armed::arm("job.panic:first1:0");
-        SweepRunner::serial().run_report(&jobs)
-    };
+    let report = armed_runner("job.panic:first1:0").run_report(&jobs);
     assert_eq!(report.failures.len(), 1, "exactly the first job fails");
     assert_eq!(report.results.len(), jobs.len() - 1);
     let failure = &report.failures[0];
@@ -102,7 +89,6 @@ fn injected_job_panics_are_isolated_and_reported() {
 
 #[test]
 fn metrics_write_faults_become_job_failures_not_aborts() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let dir = scratch("metrics");
     std::fs::create_dir_all(&dir).unwrap();
     let metrics_path = dir.join("metrics.csv");
@@ -111,10 +97,7 @@ fn metrics_write_faults_become_job_failures_not_aborts() {
         path: metrics_path.to_str().unwrap().to_owned(),
         interval: 200,
     });
-    let report = {
-        let _armed = Armed::arm("metrics.write:1:0");
-        SweepRunner::serial().run_report(std::slice::from_ref(&job))
-    };
+    let report = armed_runner("metrics.write:1:0").run_report(std::slice::from_ref(&job));
     assert_eq!(report.failures.len(), 1);
     assert!(
         report.failures[0].message.contains("cannot write"),
@@ -130,19 +113,15 @@ fn metrics_write_faults_become_job_failures_not_aborts() {
 
 #[test]
 fn transient_store_write_faults_retry_and_recover() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let job = kilo_jobs(800).remove(0);
     let store = ResultStore::open(scratch("transient")).unwrap();
-    {
-        // Two injected failures, three write attempts: the insert rides
-        // out the transient and the entry lands on disk.
-        let _armed = Armed::arm("store.write:first2:0");
-        let report = SweepRunner::serial()
-            .with_store(store.clone())
-            .run_report(std::slice::from_ref(&job));
-        assert!(report.is_complete());
-        assert_eq!(report.misses, 1);
-    }
+    // Two injected failures, three write attempts: the insert rides out
+    // the transient and the entry lands on disk.
+    let report = SweepRunner::serial()
+        .with_store(store.clone().with_faults(faults("store.write:first2:0")))
+        .run_report(std::slice::from_ref(&job));
+    assert!(report.is_complete());
+    assert_eq!(report.misses, 1);
     assert_eq!(store.write_errors(), 0, "the retry absorbed the transient");
     assert!(!store.degraded());
     let warm = SweepRunner::serial()
@@ -154,17 +133,13 @@ fn transient_store_write_faults_retry_and_recover() {
 
 #[test]
 fn exhausted_store_writes_degrade_to_uncached_but_stay_correct() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let jobs = kilo_jobs(1_200);
     let reference = results_to_kv(&SweepRunner::serial().run(&jobs));
     let dir = scratch("degrade");
     let store = ResultStore::open(&dir).unwrap();
-    let report = {
-        let _armed = Armed::arm("store.write:1:11");
-        SweepRunner::serial()
-            .with_store(store.clone())
-            .run_report(&jobs)
-    };
+    let report = SweepRunner::serial()
+        .with_store(store.clone().with_faults(faults("store.write:1:11")))
+        .run_report(&jobs);
     assert!(report.is_complete(), "write faults never fail jobs");
     assert_eq!(
         results_to_kv(&report.results),
@@ -175,7 +150,7 @@ fn exhausted_store_writes_degrade_to_uncached_but_stay_correct() {
     assert!(store.degraded());
     assert_eq!(files_containing(&dir, ".entry"), 0, "no entries written");
     assert_eq!(files_containing(&dir, ".tmp"), 0, "no torn temp files");
-    // A fresh open over the same directory (faults disarmed) writes again.
+    // A fresh open over the same directory (disarmed) writes again.
     let healed_store = ResultStore::open(&dir).unwrap();
     let cold = SweepRunner::serial()
         .with_store(healed_store.clone())
@@ -191,19 +166,15 @@ fn exhausted_store_writes_degrade_to_uncached_but_stay_correct() {
 
 #[test]
 fn store_read_faults_force_byte_identical_recomputes() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let jobs = kilo_jobs(900);
     let store = ResultStore::open(scratch("readfault")).unwrap();
     let cold = SweepRunner::serial()
         .with_store(store.clone())
         .run_report(&jobs);
     let reference = results_to_kv(&cold.results);
-    let faulted = {
-        let _armed = Armed::arm("store.read:1:13");
-        SweepRunner::serial()
-            .with_store(store.clone())
-            .run_report(&jobs)
-    };
+    let faulted = SweepRunner::serial()
+        .with_store(store.clone().with_faults(faults("store.read:1:13")))
+        .run_report(&jobs);
     assert_eq!(faulted.hits, 0, "every lookup was injected to fail");
     assert_eq!(faulted.misses, jobs.len() as u64);
     assert_eq!(
@@ -222,16 +193,14 @@ fn store_read_faults_force_byte_identical_recomputes() {
 
 #[test]
 fn chaos_campaign_heals_to_a_fully_green_warm_sweep() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let jobs = kilo_jobs(1_100);
     let reference = results_to_kv(&SweepRunner::serial().run(&jobs));
     let store = ResultStore::open(scratch("heal")).unwrap();
-    let campaign = {
-        let _armed = Armed::arm("job.panic:first2:0");
-        SweepRunner::serial()
-            .with_store(store.clone())
-            .run_report(&jobs)
-    };
+    let plan = faults("job.panic:first2:0");
+    let campaign = SweepRunner::serial()
+        .with_faults(plan.clone())
+        .with_store(store.clone().with_faults(plan))
+        .run_report(&jobs);
     assert_eq!(campaign.failures.len(), 2, "the first two jobs died");
     assert_eq!(campaign.results.len(), jobs.len() - 2);
     // Heal: disarmed re-run over the same store hits the survivors,
@@ -259,15 +228,10 @@ fn chaos_campaign_heals_to_a_fully_green_warm_sweep() {
 
 #[test]
 fn run_panics_with_a_failure_summary_when_jobs_fail() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
     let jobs = kilo_jobs(800);
-    let payload = {
-        let _armed = Armed::arm("job.panic:1:0");
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            SweepRunner::serial().run(&jobs)
-        }))
-        .expect_err("run() must refuse a partial sweep")
-    };
+    let runner = armed_runner("job.panic:1:0");
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| runner.run(&jobs)))
+        .expect_err("run() must refuse a partial sweep");
     let message = payload
         .downcast_ref::<String>()
         .cloned()
@@ -280,11 +244,73 @@ fn run_panics_with_a_failure_summary_when_jobs_fail() {
 
 #[test]
 fn fault_specs_are_validated_through_the_public_api() {
-    let _guard = CHAOS_LOCK.lock().unwrap();
-    assert!(chaos::arm("job.panic:1:0").is_ok());
-    chaos::disarm();
-    assert!(chaos::arm("job.reboot:1:0").is_err(), "unknown point");
-    assert!(chaos::arm("job.panic:2:0").is_err(), "rate out of range");
-    assert!(chaos::arm("job.panic:1").is_err(), "missing seed");
-    assert!(!chaos::armed(), "a rejected spec must not arm anything");
+    assert!(Faults::parse("job.panic:1:0").is_ok_and(|plan| plan.fire(FaultPoint::JobPanic)));
+    assert!(Faults::parse("job.reboot:1:0").is_err(), "unknown point");
+    assert!(Faults::parse("job.panic:2:0").is_err(), "rate out of range");
+    assert!(Faults::parse("job.panic:1").is_err(), "missing seed");
+    assert!(
+        !Faults::default().fire(FaultPoint::JobPanic),
+        "the default plan is disarmed"
+    );
+}
+
+/// `dkip-sim sweep … faults=SPEC` hands one plan to the runner and the
+/// store: its counters run on across retry rounds, so `first2` kills two
+/// jobs once and `retries=1` heals them, while a store whose every read
+/// fails still serves a green sweep.
+#[test]
+fn the_sweep_command_line_carries_one_plan_across_retry_rounds() {
+    let dir = scratch("cli");
+    let sweep = |extra: &[&str]| {
+        let mut args: Vec<String> = ["sweep", "kilo", "budget=1000", "threads=1"]
+            .iter()
+            .chain(extra)
+            .map(|arg| (*arg).to_owned())
+            .collect();
+        args.push(format!("cache={}", dir.display()));
+        cli::run(&args).expect("a valid command line")
+    };
+    assert_eq!(
+        sweep(&["retries=0", "faults=job.panic:first2:7"]),
+        ExitCode::FAILURE
+    );
+    assert_eq!(
+        sweep(&["retries=1", "faults=job.panic:first2:7"]),
+        ExitCode::SUCCESS
+    );
+    assert_eq!(
+        sweep(&["faults=store.read:1:13", "expect=cold"]),
+        ExitCode::SUCCESS
+    );
+    assert_eq!(sweep(&["expect=warm"]), ExitCode::SUCCESS);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two runners with different plans sweep the same suite at the same time
+/// on two threads: each sees exactly its own faults, and the disarmed one
+/// matches the fault-free reference byte for byte.
+#[test]
+fn concurrent_runners_see_only_their_own_faults() {
+    let jobs = kilo_jobs(1_000);
+    let reference = SweepRunner::serial().run(&jobs);
+    let (armed, disarmed) = std::thread::scope(|scope| {
+        let armed = scope.spawn(|| armed_runner("job.panic:first1:0").run_report(&jobs));
+        let disarmed = scope.spawn(|| {
+            SweepRunner::serial()
+                .with_faults(Faults::default())
+                .run_report(&jobs)
+        });
+        (armed.join().unwrap(), disarmed.join().unwrap())
+    });
+    assert_eq!(armed.failures.len(), 1, "the armed runner loses job 0");
+    assert_eq!(armed.failures[0].index, 0);
+    assert!(armed.failures[0].message.contains(chaos::CHAOS_TAG));
+    let kv = |results: &[JobResult]| results.iter().map(JobResult::to_kv).collect::<Vec<_>>();
+    assert_eq!(
+        kv(&armed.results),
+        kv(&reference[1..]),
+        "the armed runner's survivors are the fault-free results"
+    );
+    assert!(disarmed.is_complete(), "the disarmed runner sees no fault");
+    assert_eq!(results_to_kv(&disarmed.results), results_to_kv(&reference));
 }

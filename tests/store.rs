@@ -14,17 +14,12 @@
 //! `dkip_sim::store::RESULTS_EPOCH` in the same commit.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use dkip::model::key_digest;
-use dkip::sim::chaos;
+use dkip::sim::chaos::Faults;
 use dkip::sim::runner::results_to_kv;
 use dkip::sim::store::ResultStore;
 use dkip::sim::{golden, suites, SweepRunner};
-
-/// Serialises the store tests: one of them arms the process-wide
-/// `store.write` fault point, which must not fire in another test's sweep.
-static STORE_LOCK: Mutex<()> = Mutex::new(());
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dkip-store-it-{tag}-{}", std::process::id()));
@@ -66,7 +61,6 @@ fn cache_key_fixture_pins_the_hash_inputs() {
 /// byte-identical to the uncached reference at every thread count.
 #[test]
 fn warm_runs_recompute_nothing_and_match_bit_for_bit() {
-    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_500)).unwrap();
     let reference = results_to_kv(&SweepRunner::new(2).run(&jobs));
     let store = ResultStore::open(scratch("warm")).unwrap();
@@ -97,7 +91,6 @@ fn warm_runs_recompute_nothing_and_match_bit_for_bit() {
 /// cache hits for the finished jobs and recomputes exactly the rest.
 #[test]
 fn interrupted_sweeps_resume_from_the_store() {
-    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_200)).unwrap();
     assert_eq!(jobs.len(), 3);
     let reference = results_to_kv(&SweepRunner::serial().run(&jobs));
@@ -124,16 +117,14 @@ fn interrupted_sweeps_resume_from_the_store() {
 /// heals on the next fault-free open.
 #[test]
 fn enospc_writes_degrade_to_uncached_and_never_leave_partial_entries() {
-    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_300)).unwrap();
     let reference = results_to_kv(&SweepRunner::serial().run(&jobs));
     let dir = scratch("enospc");
     let store = ResultStore::open(&dir).unwrap();
-    chaos::arm("store.write:1:3").expect("valid fault spec");
+    let enospc = Faults::parse("store.write:1:3").expect("valid fault spec");
     let faulted = SweepRunner::serial()
-        .with_store(store.clone())
+        .with_store(store.clone().with_faults(enospc))
         .run_report(&jobs);
-    chaos::disarm();
     assert!(
         faulted.failures.is_empty(),
         "write failures degrade caching, they never fail jobs"
@@ -196,7 +187,6 @@ fn walk_files(dir: &PathBuf) -> Vec<PathBuf> {
 /// recomputed, rewritten — and the output never changes.
 #[test]
 fn corrupted_entries_recover_by_recomputing() {
-    let _guard = STORE_LOCK.lock().unwrap();
     let jobs = suites::golden_suite_jobs("kilo", Some(1_000)).unwrap();
     let store = ResultStore::open(scratch("recover")).unwrap();
     let cold = SweepRunner::serial()
