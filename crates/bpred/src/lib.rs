@@ -16,7 +16,8 @@
 //!
 //! All predictors implement the [`BranchPredictor`] trait: `predict` is
 //! called at fetch with the branch PC, `update` is called at resolution with
-//! the actual outcome.
+//! the actual outcome, and `train` does both at once for a branch that is
+//! only functionally warmed.
 //!
 //! # Example
 //!
@@ -72,6 +73,16 @@ pub trait BranchPredictor: std::fmt::Debug {
     /// `pc`. `predicted` is the direction returned by the matching
     /// [`predict`](Self::predict) call.
     fn update(&mut self, pc: u64, taken: bool, predicted: bool);
+
+    /// Trains the predictor with a branch that is not simulated in detail:
+    /// the in-order [`predict`](Self::predict) then
+    /// [`update`](Self::update) pair, counted like any prediction.
+    /// Implementations may fuse the two, but must leave every table,
+    /// history and counter as the pair would.
+    fn train(&mut self, pc: u64, taken: bool) {
+        let predicted = self.predict(pc);
+        self.update(pc, taken, predicted);
+    }
 
     /// Number of predictions made so far.
     fn predictions(&self) -> u64;

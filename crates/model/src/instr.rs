@@ -195,6 +195,64 @@ impl MicroOp {
     }
 }
 
+/// The part of one dynamic micro-op that functional warming reads: a
+/// memory access to install in the caches, or a conditional-branch outcome
+/// to train the direction predictor with. Every other op warms nothing.
+///
+/// The stream producers emit these directly on their warm-only path, so a
+/// fast-forwarded op never becomes a full [`MicroOp`].
+///
+/// # Example
+///
+/// ```
+/// use dkip_model::{MicroOp, OpClass, WarmOp};
+///
+/// let store = MicroOp::new(0, 0x40, OpClass::Store).with_mem_addr(0x100);
+/// assert_eq!(WarmOp::of(&store), Some(WarmOp::Mem { addr: 0x100, is_store: true }));
+/// assert_eq!(WarmOp::of(&MicroOp::new(1, 0x44, OpClass::IntAlu)), None);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WarmOp {
+    /// A load or store touching `addr`.
+    Mem {
+        /// The effective address.
+        addr: u64,
+        /// Whether the access is a store.
+        is_store: bool,
+    },
+    /// A resolved conditional branch.
+    Branch {
+        /// The branch's program counter.
+        pc: u64,
+        /// The architecturally correct direction.
+        taken: bool,
+    },
+}
+
+impl WarmOp {
+    /// The warm-relevant part of `op`, or `None` if warming ignores it
+    /// (neither a memory access nor a conditional branch).
+    #[must_use]
+    #[inline]
+    pub fn of(op: &MicroOp) -> Option<WarmOp> {
+        match (op.mem_addr, op.branch) {
+            (Some(addr), _) => Some(WarmOp::Mem {
+                addr,
+                is_store: op.is_store(),
+            }),
+            (
+                None,
+                Some(BranchInfo {
+                    kind: BranchKind::Conditional,
+                    taken,
+                    ..
+                }),
+            ) => Some(WarmOp::Branch { pc: op.pc, taken }),
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for MicroOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "#{} pc={:#x} {}", self.seq, self.pc, self.class)?;

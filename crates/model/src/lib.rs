@@ -7,7 +7,8 @@
 //! * [`reg`] — architectural and physical register identifiers,
 //! * [`op`] — micro-operation classes, functional-unit pools and latencies,
 //! * [`instr`] — the trace-level [`instr::MicroOp`] record produced by the
-//!   workload generators and consumed by every core model,
+//!   workload generators and consumed by every core model, and the
+//!   [`instr::WarmOp`] record functional warming reads instead,
 //! * [`config`] — configuration structures for the memory hierarchy, the
 //!   baseline out-of-order cores, the traditional KILO processor and the
 //!   D-KIP itself, including the presets of Tables 1, 2 and 3 of the paper,
@@ -53,7 +54,7 @@ pub use config::{
     MemoryProcessorConfig, SampleConfig, SchedPolicy,
 };
 pub use error::ConfigError;
-pub use instr::{BranchInfo, BranchKind, MicroOp};
+pub use instr::{BranchInfo, BranchKind, MicroOp, WarmOp};
 pub use key::{fnv1a_128, key_digest, KeyWriter, StableKey};
 pub use op::{FuPool, OpClass};
 pub use reg::{ArchReg, PhysReg, RegClass, FP_ARCH_REGS, INT_ARCH_REGS, TOTAL_ARCH_REGS};

@@ -23,7 +23,7 @@
 use crate::rob::RobEntry;
 use dkip_bpred::{BranchPredictor, PredictorKind};
 use dkip_model::telemetry::{MetricsFrame, Telemetry};
-use dkip_model::{MicroOp, SimStats};
+use dkip_model::{MicroOp, SimStats, WarmOp};
 use std::collections::VecDeque;
 
 /// Fetch, branch prediction and mispredict refill: the part of a core that
@@ -188,15 +188,11 @@ impl FrontEnd {
     }
 
     /// Trains the predictor with a conditional branch that is not simulated
-    /// in detail, with the in-order predict/update pair the pipeline itself
-    /// would apply.
+    /// in detail, as the in-order predict/update pair the pipeline itself
+    /// would apply ([`BranchPredictor::train`]).
     #[inline]
-    pub fn warm_branch(&mut self, op: &MicroOp) {
-        if op.is_conditional_branch() {
-            let taken = op.branch.expect("conditional branch").taken;
-            let predicted = self.predictor.predict(op.pc);
-            self.predictor.update(op.pc, taken, predicted);
-        }
+    pub fn warm_branch(&mut self, pc: u64, taken: bool) {
+        self.predictor.train(pc, taken);
     }
 
     /// The end of the refill penalty, if it lies after `cycle`.
@@ -218,7 +214,7 @@ impl FrontEnd {
 ///
 /// Implementors provide the state accessors and the family hooks; the
 /// driver loop ([`Engine::run_probed`]), the merged event horizon
-/// ([`Engine::next_event`]) and functional warming ([`Engine::warm_op`])
+/// ([`Engine::next_event`]) and functional warming ([`Engine::warm`])
 /// are provided once for every family.
 pub trait Engine {
     /// The shared front end.
@@ -333,30 +329,27 @@ pub trait Engine {
         self.back_end_event().into_iter().chain(refill).min()
     }
 
-    /// Functionally warms the long-lived microarchitectural state with one
-    /// instruction that is *not* being simulated in detail: memory ops
-    /// install/promote their line in the cache hierarchy and conditional
-    /// branches train the direction predictor. The pipeline, clock and
-    /// committed counters are untouched.
-    fn warm_op(&mut self, op: &MicroOp) {
-        if let Some(addr) = op.mem_addr {
-            self.warm_memory(addr, op.is_store());
+    /// Functionally warms the long-lived microarchitectural state with a
+    /// batch of instructions that are *not* being simulated in detail:
+    /// memory accesses install/promote their line in the cache hierarchy
+    /// and conditional branches train the direction predictor. The
+    /// pipeline, clock and committed counters are untouched.
+    ///
+    /// This is the sampled-simulation mode's fast-forward: the stream
+    /// producers emit the batch without building micro-ops, and a
+    /// `Box<dyn Engine>` dispatches once per batch, not once per op.
+    fn warm(&mut self, batch: &[WarmOp]) {
+        for &op in batch {
+            match op {
+                WarmOp::Mem { addr, is_store } => self.warm_memory(addr, is_store),
+                WarmOp::Branch { pc, taken } => self.front_end_mut().warm_branch(pc, taken),
+            }
         }
-        self.front_end_mut().warm_branch(op);
     }
 
-    /// Draws up to `n` instructions from `ops` and warms the machine with
-    /// each ([`Engine::warm_op`]); returns how many were drawn (fewer only
-    /// when `ops` ends). This is the sampled-simulation mode's fast-forward:
-    /// one dynamic dispatch per gap, not one per instruction.
-    fn fast_forward(&mut self, ops: &mut dyn Iterator<Item = MicroOp>, n: u64) -> u64 {
-        let mut drawn = 0;
-        while drawn < n {
-            let Some(op) = ops.next() else { break };
-            self.warm_op(&op);
-            drawn += 1;
-        }
-        drawn
+    /// [`Engine::warm`] with the one instruction `op`.
+    fn warm_op(&mut self, op: &MicroOp) {
+        self.warm(WarmOp::of(op).as_slice());
     }
 
     /// Forces (or releases) single-stepped simulation: one tick per

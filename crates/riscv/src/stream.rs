@@ -20,12 +20,14 @@
 //!
 //! The stream is finite (it ends when the kernel halts) and fully
 //! deterministic: two streams for the same [`KernelRun`] are bit-identical.
+//! [`RiscvStream::warm_into`] advances it the same way without cracking,
+//! emitting only the [`WarmOp`] records functional warming reads.
 
 use crate::emu::{Emulator, Retired};
 use crate::isa::{Inst, Reg};
 use crate::kernels::KernelRun;
 use dkip_model::instr::{BranchInfo, BranchKind};
-use dkip_model::{ArchReg, MicroOp, OpClass};
+use dkip_model::{ArchReg, MicroOp, OpClass, WarmOp};
 
 /// An execution-driven [`MicroOp`] stream over a RISC-V kernel.
 #[derive(Debug, Clone)]
@@ -55,6 +57,35 @@ impl RiscvStream {
     #[must_use]
     pub fn emulator(&self) -> &Emulator {
         &self.emu
+    }
+
+    /// Advances the stream by up to `n` instructions exactly as `n` calls
+    /// of `next()` would, but pushes only the [`WarmOp`] of each (what
+    /// [`WarmOp::of`] makes of its cracked micro-op) onto `batch`. Returns
+    /// how many instructions were drawn: fewer than `n` only when the
+    /// kernel halts.
+    ///
+    /// This is sampled mode's functional-warming path: it steps the
+    /// emulator but never cracks, so `batch` grows by at most `n`.
+    pub fn warm_into(&mut self, n: usize, batch: &mut Vec<WarmOp>) -> usize {
+        for drawn in 0..n {
+            let Some(retired) = self.emu.step() else {
+                return drawn;
+            };
+            self.seq += 1;
+            if let Some(addr) = retired.mem_addr {
+                batch.push(WarmOp::Mem {
+                    addr,
+                    is_store: matches!(retired.inst, Inst::Store { .. }),
+                });
+            } else if let Inst::Branch { .. } = retired.inst {
+                batch.push(WarmOp::Branch {
+                    pc: retired.pc,
+                    taken: retired.branch_taken(),
+                });
+            }
+        }
+        n
     }
 }
 

@@ -33,7 +33,8 @@
 //!     `fig14` refuse it: a sampled run keeps only its committed and cycle
 //!     counts, so their histogram and maxima would print zeros;
 //!   - `metrics=PATH:INTERVAL` writes an interval-metrics time series per
-//!     job, with a per-job tag inserted before the extension;
+//!     job, with a per-job tag inserted before the extension. It needs
+//!     exact simulation, so it is refused together with `sample=`;
 //!   - `cache=DIR` serves and populates the content-addressed result store
 //!     in `DIR`, and reports `# cache: hits=… misses=…` on stderr;
 //!   - `expect=cold|warm` asserts the cache behaviour: exit 1 when a cold
@@ -84,7 +85,8 @@ pub const USAGE: &str = "usage: dkip-sim <subcommand> <subjects> [options]
   fig <name> [budget=N] [full] [threads=N] [sample=P:U:W] [metrics=PATH:INTERVAL] [cache=DIR] [expect=cold|warm]
       names: table1 table2_3 fig01 fig02 fig03 fig09 fig10 fig11 fig12 fig13 fig14 riscv
       (table1 and table2_3 take no options; riscv takes no 'full';
-       fig03, fig13 and fig14 are exact-only and take no 'sample=')
+       fig03, fig13 and fig14 are exact-only and take no 'sample=';
+       'sample=' and 'metrics=' exclude each other)
   timeseries <baseline|kilo|dkip> <workload> [budget=N] [metrics=PATH:INTERVAL] [trace=PATH[:OPS]]
   sweep <suite> [budget=N] [threads=N] [cache=DIR] [shard=I/N] [expect=cold|warm] [retries=N] [faults=SPEC]
       suites: baseline | kilo | dkip | riscv | all
@@ -237,6 +239,12 @@ impl Options {
                 "faults" => options.faults = Faults::parse(value).map_err(|e| invalid(&e))?,
                 _ => unreachable!("every allowed option is parsed"),
             }
+        }
+        if options.sample.is_some() && options.metrics.is_some() {
+            return Err(
+                "sample= and metrics= exclude each other: interval metrics need exact simulation"
+                    .to_owned(),
+            );
         }
         Ok(options)
     }
@@ -714,6 +722,14 @@ mod tests {
             (&["fig", "fig03", "sample=20000:2000:2000"], "does not take"),
             (&["fig", "fig13", "sample=20000:2000:2000"], "does not take"),
             (&["fig", "fig14", "sample=20000:2000:2000"], "does not take"),
+            (
+                &["fig", "fig09", "sample=1000:100:100", "metrics=m.csv:500"],
+                "exclude each other",
+            ),
+            (
+                &["fig", "riscv", "metrics=m.csv:500", "sample=1000:100:100"],
+                "exclude each other",
+            ),
             (&["timeseries", "dkip", "gcc", "threads=2"], "does not take"),
             (&["timeseries", "dkip", "gcc", "cache=d"], "does not take"),
             (&["sweep"], "suite"),

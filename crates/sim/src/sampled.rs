@@ -33,11 +33,15 @@
 //!   state before measurement starts; they are simulated in detail but
 //!   excluded from the estimate.
 //! * The fast-forward portion performs SMARTS-style *functional warming*:
-//!   every skipped op is drawn through the ordinary stream iterator (so
-//!   the stream position stays bit-identical to detailed consumption and a
-//!   sampled run commits the exact same architectural state as an exact
-//!   run — the differential-fuzz oracle asserts this) and handed to the
-//!   drained core's `warm_op` (one `Engine::fast_forward` call per gap),
+//!   the stream advances over every skipped op on its warm-only path
+//!   ([`WorkloadStream::warm_into`]), which takes exactly the steps
+//!   `next()` would — so the stream position stays bit-identical to
+//!   detailed consumption and a sampled run commits the exact same
+//!   architectural state as an exact run (the differential-fuzz oracle
+//!   asserts this) — but builds no micro-op: it emits only each op's
+//!   [`WarmOp`], a memory access or a conditional-branch outcome. The
+//!   records go in fixed batches of `WARM_BATCH` (256) to the drained
+//!   core's [`dkip_ooo::Engine::warm`] (one dynamic dispatch per batch),
 //!   which installs memory lines in the cache hierarchy and trains the
 //!   branch predictor without modelling timing.
 //!   Without this, miss-dominated workloads measure their windows against
@@ -51,10 +55,18 @@
 //! every golden suite.
 
 use dkip_model::config::MemoryHierarchyConfig;
-use dkip_model::{IpcEstimate, MicroOp, SampleConfig, SampleEstimator, SimStats, WindowSample};
+use dkip_model::{
+    IpcEstimate, MicroOp, SampleConfig, SampleEstimator, SimStats, WarmOp, WindowSample,
+};
+use dkip_ooo::Engine;
 
 use crate::runner::Machine;
 use crate::workload::WorkloadStream;
+
+/// Ops per functional-warming batch: large enough that the one dynamic
+/// dispatch per batch is noise, small enough that the batch (16 bytes a
+/// record) stays a few KB and in the L1 cache.
+pub(crate) const WARM_BATCH: usize = 256;
 
 /// The outcome of one sampled simulation ([`run_sampled`]).
 #[derive(Debug, Clone)]
@@ -162,6 +174,7 @@ pub fn run_sampled(
     // cumulative, so each segment's target is expressed on top of this.
     let mut committed_base = 0u64;
     let mut fast_forwarded = 0u64;
+    let mut batch = Vec::with_capacity(WARM_BATCH);
     loop {
         let consumed = counted.taken + fast_forwarded;
         if consumed >= budget {
@@ -205,7 +218,7 @@ pub fn run_sampled(
         // functionally warming the drained core's caches and predictor
         // with every skipped op; the next window runs on the warmed core.
         let want = sample.skip().min(budget - consumed);
-        let skipped = core.fast_forward(counted.inner, want);
+        let skipped = warm_gap(core.as_mut(), counted.inner, want, &mut batch);
         fast_forwarded += skipped;
         if skipped < want {
             break; // finite stream exhausted inside the gap
@@ -218,6 +231,29 @@ pub fn run_sampled(
         fast_forwarded,
         stream_consumed: counted.taken + fast_forwarded,
     }
+}
+
+/// Advances `stream` by up to `n` ops on its warm-only path, warming `core`
+/// with them one [`WARM_BATCH`] at a time; returns how many ops were drawn
+/// (fewer only when a finite stream ends).
+fn warm_gap(
+    core: &mut dyn Engine,
+    stream: &mut WorkloadStream,
+    n: u64,
+    batch: &mut Vec<WarmOp>,
+) -> u64 {
+    let mut drawn = 0;
+    while drawn < n {
+        let want = (n - drawn).min(WARM_BATCH as u64) as usize;
+        batch.clear();
+        let got = stream.warm_into(want, batch);
+        core.warm(batch);
+        drawn += got as u64;
+        if got < want {
+            break;
+        }
+    }
+    drawn
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! built, a bare `Benchmark`, [`Kernel`] or [`KernelRun`] coerces into a
 //! `Workload`.
 
-use dkip_model::MicroOp;
+use dkip_model::{MicroOp, WarmOp};
 use dkip_riscv::{Kernel, KernelRun, RiscvStream};
 use dkip_trace::{Benchmark, TraceGenerator};
 
@@ -135,6 +135,19 @@ pub enum WorkloadStream {
     Riscv(RiscvStream),
 }
 
+impl WorkloadStream {
+    /// Advances the stream by up to `n` ops as `n` calls of `next()` would,
+    /// pushing only their [`WarmOp`]s onto `batch`; returns how many ops
+    /// were drawn (fewer than `n` only when a finite stream ends). See
+    /// [`TraceGenerator::warm_into`] and [`RiscvStream::warm_into`].
+    pub fn warm_into(&mut self, n: usize, batch: &mut Vec<WarmOp>) -> usize {
+        match self {
+            WorkloadStream::Spec(generator) => generator.warm_into(n, batch),
+            WorkloadStream::Riscv(stream) => stream.warm_into(n, batch),
+        }
+    }
+}
+
 impl Iterator for WorkloadStream {
     type Item = MicroOp;
 
@@ -149,6 +162,7 @@ impl Iterator for WorkloadStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampled::WARM_BATCH;
 
     #[test]
     fn names_distinguish_the_sources() {
@@ -189,6 +203,68 @@ mod tests {
         let c: Vec<_> = Workload::from(Benchmark::Mcf).stream(2).take(200).collect();
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// Every producer's warm-only path takes exactly the steps `next()`
+    /// takes: `n` warm steps yield `next()`×n mapped through
+    /// [`WarmOp::of`], and the stream then continues with identical ops.
+    #[test]
+    fn the_warm_path_is_next_mapped_through_warm_op() {
+        let workloads = Benchmark::all()
+            .into_iter()
+            .map(Workload::from)
+            .chain(Kernel::ALL.map(Workload::from));
+        for workload in workloads {
+            let n = 3 * WARM_BATCH + 17;
+            let mut warmed = workload.stream(3);
+            let mut stepped = workload.stream(3);
+            let mut batch = Vec::new();
+            assert_eq!(warmed.warm_into(n, &mut batch), n, "{}", workload.name());
+            let expected: Vec<WarmOp> = stepped
+                .by_ref()
+                .take(n)
+                .filter_map(|op| WarmOp::of(&op))
+                .collect();
+            assert_eq!(batch, expected, "{}", workload.name());
+            let after: Vec<MicroOp> = warmed.take(500).collect();
+            assert_eq!(after[0].seq, n as u64, "{}", workload.name());
+            assert_eq!(
+                after,
+                stepped.take(500).collect::<Vec<_>>(),
+                "{}",
+                workload.name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_finite_kernel_ends_mid_batch_on_the_warm_path() {
+        let workload = Workload::from(Kernel::FibRec);
+        let len = workload.stream(1).count();
+        assert_ne!(len % WARM_BATCH, 0, "the kernel must end inside a batch");
+        let mut warmed = workload.stream(1);
+        let mut batch = Vec::new();
+        let mut drawn = Vec::new();
+        loop {
+            let got = warmed.warm_into(WARM_BATCH, &mut batch);
+            drawn.push(got);
+            if got < WARM_BATCH {
+                break;
+            }
+        }
+        assert_eq!(drawn.iter().sum::<usize>(), len);
+        assert_eq!(drawn.last(), Some(&(len % WARM_BATCH)));
+        let expected: Vec<WarmOp> = workload
+            .stream(1)
+            .filter_map(|op| WarmOp::of(&op))
+            .collect();
+        assert_eq!(batch, expected);
+        assert_eq!(
+            warmed.warm_into(WARM_BATCH, &mut batch),
+            0,
+            "exhaustion is sticky"
+        );
+        assert!(warmed.next().is_none());
     }
 
     #[test]

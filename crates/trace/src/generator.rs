@@ -5,10 +5,14 @@
 //! effective addresses according to their [`AddressPattern`], static
 //! branches get resolved directions according to their [`BranchBehavior`],
 //! and every emitted micro-op receives a dense dynamic sequence number.
+//!
+//! [`TraceGenerator::warm_into`] and [`TraceGenerator::fast_forward`] take
+//! the same walk without building micro-ops: the first emits only the
+//! [`WarmOp`] records functional warming reads, the second nothing at all.
 
 use crate::spec::{Benchmark, WorkloadSpec};
 use crate::template::{AddressPattern, BranchBehavior, ProgramTemplate, Region};
-use dkip_model::{BranchInfo, BranchKind, MicroOp};
+use dkip_model::{BranchInfo, BranchKind, MicroOp, WarmOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -132,9 +136,60 @@ impl TraceGenerator {
     /// the by-value [`Iterator::skip`] adapter during method resolution.)
     pub fn fast_forward(&mut self, n: u64) -> u64 {
         for _ in 0..n {
-            let _ = self.next();
+            self.step();
         }
         n
+    }
+
+    /// Advances the stream by `n` micro-ops exactly as `n` calls of
+    /// `next()` would, but pushes only the [`WarmOp`] of each (memory
+    /// accesses and conditional-branch outcomes, [`WarmOp::of`]) onto
+    /// `batch`. Returns `n`: the synthetic stream never ends.
+    ///
+    /// This is sampled mode's functional-warming path: no [`MicroOp`] is
+    /// built, so `batch` grows by at most `n`.
+    pub fn warm_into(&mut self, n: usize, batch: &mut Vec<WarmOp>) -> usize {
+        for _ in 0..n {
+            let step = self.step();
+            let instr = &self.template.instrs()[step.index];
+            if let Some(addr) = step.mem_addr {
+                batch.push(WarmOp::Mem {
+                    addr,
+                    is_store: instr.class.is_store(),
+                });
+            } else if let Some(taken) = step.taken {
+                batch.push(WarmOp::Branch {
+                    pc: instr.pc,
+                    taken,
+                });
+            }
+        }
+        n
+    }
+
+    /// One step of the template walk, shared by `next()`,
+    /// [`TraceGenerator::warm_into`] and [`TraceGenerator::fast_forward`]:
+    /// resolves the current static instruction's address and branch
+    /// direction (drawing the RNG, stream cursors and chain states) and
+    /// advances the sequence number, the template index and the iteration.
+    #[inline(always)]
+    fn step(&mut self) -> Step {
+        let index = self.index;
+        let instr = &self.template.instrs()[index];
+        let (address, branch) = (instr.address, instr.branch);
+        let mem_addr = address.map(|pattern| self.next_address(pattern));
+        let taken = branch.map(|behavior| self.next_taken(behavior));
+        self.seq += 1;
+        self.index += 1;
+        if self.index >= self.template.instrs().len() {
+            self.index = 0;
+            self.iteration += 1;
+        }
+        Step {
+            index,
+            mem_addr,
+            taken,
+        }
     }
 
     fn region_span(&self, region: Region) -> (u64, u64) {
@@ -144,6 +199,9 @@ impl TraceGenerator {
         }
     }
 
+    // Inlined into each of the three walks, so `next()` pays no call and
+    // `fast_forward`, which drops the address, sheds its arithmetic.
+    #[inline(always)]
     fn next_address(&mut self, pattern: AddressPattern) -> u64 {
         match pattern {
             AddressPattern::Streaming {
@@ -175,56 +233,53 @@ impl TraceGenerator {
         }
     }
 
-    fn next_branch(&mut self, behavior: BranchBehavior, pc: u64) -> BranchInfo {
+    /// The direction of one dynamic instance of a static conditional
+    /// branch.
+    fn next_taken(&mut self, behavior: BranchBehavior) -> bool {
         match behavior {
-            BranchBehavior::LoopBack => BranchInfo {
-                kind: BranchKind::Conditional,
-                taken: true,
-                target: self.template.loop_target(),
-            },
+            BranchBehavior::LoopBack => true,
             BranchBehavior::Biased {
                 bias,
                 dominant_taken,
             } => {
                 let follow = self.rng.gen::<f64>() < bias;
-                BranchInfo {
-                    kind: BranchKind::Conditional,
-                    taken: follow == dominant_taken,
-                    target: pc + 16,
-                }
+                follow == dominant_taken
             }
-            BranchBehavior::DataDependent => BranchInfo {
-                kind: BranchKind::Conditional,
-                taken: self.rng.gen::<bool>(),
-                target: pc + 16,
-            },
+            BranchBehavior::DataDependent => self.rng.gen::<bool>(),
         }
     }
+}
+
+/// What one step of the template walk resolved.
+struct Step {
+    /// Index of the walked static instruction in the template.
+    index: usize,
+    /// Its effective address, if it is a load or store.
+    mem_addr: Option<u64>,
+    /// Its direction, if it is a conditional branch.
+    taken: Option<bool>,
 }
 
 impl Iterator for TraceGenerator {
     type Item = MicroOp;
 
     fn next(&mut self) -> Option<MicroOp> {
-        let static_instr = self.template.instrs()[self.index].clone();
-        let pc = static_instr.pc;
-        let class = static_instr.class;
-        let mut op = MicroOp::new(self.seq, pc, class);
-        op.dst = static_instr.dst;
-        op.srcs = static_instr.srcs;
-
-        if let Some(pattern) = static_instr.address {
-            op.mem_addr = Some(self.next_address(pattern));
-        }
-        if let Some(behavior) = static_instr.branch {
-            op.branch = Some(self.next_branch(behavior, pc));
-        }
-
-        self.seq += 1;
-        self.index += 1;
-        if self.index >= self.template.instrs().len() {
-            self.index = 0;
-            self.iteration += 1;
+        let instr = self.template.instrs()[self.index].clone();
+        let mut op = MicroOp::new(self.seq, instr.pc, instr.class);
+        op.dst = instr.dst;
+        op.srcs = instr.srcs;
+        let step = self.step();
+        op.mem_addr = step.mem_addr;
+        if let Some(taken) = step.taken {
+            let target = match instr.branch {
+                Some(BranchBehavior::LoopBack) => self.template.loop_target(),
+                _ => instr.pc + 16,
+            };
+            op.branch = Some(BranchInfo {
+                kind: BranchKind::Conditional,
+                taken,
+                target,
+            });
         }
         debug_assert!(op.is_well_formed(), "generated malformed micro-op: {op}");
         Some(op)
